@@ -6,7 +6,9 @@
 // overhead — the quantity that Fig. 2's efficiency is about.
 //
 // Flags: --photons N (default 100000), --chunk N (10000)
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "core/app.hpp"
 #include "mc/presets.hpp"
@@ -43,6 +45,7 @@ int main(int argc, char** argv) {
   util::Stopwatch stopwatch;
   const mc::SimulationTally serial = app.run_serial(chunk);
   const double serial_s = stopwatch.seconds();
+  const std::vector<std::uint8_t> serial_bytes = serial.to_bytes();
 
   util::TextTable table({"configuration", "wall (s)", "photons/s",
                          "frames", "dropped", "bytes", "re-issues"});
@@ -64,8 +67,7 @@ int main(int argc, char** argv) {
     options.lease_duration_s = 2.0;
     const core::RunSummary summary = app.run_distributed(options);
     // Cross-check: distributed result must equal serial bitwise.
-    if (summary.tally.diffuse_reflectance() !=
-        serial.diffuse_reflectance()) {
+    if (summary.tally.to_bytes() != serial_bytes) {
       util::log_error() << "bench_dist_overhead: determinism violation!";
       return 1;
     }

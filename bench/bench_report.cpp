@@ -30,12 +30,10 @@ PresetResult finalize_preset(std::string name, std::uint64_t photons,
 
 PresetResult measure_preset(const std::string& name, const mc::Kernel& kernel,
                             const MeasureOptions& options) {
-  const mc::Kernel::CompiledRun run = kernel.compiled_run();
-
   {  // warm-up: prime code paths and allocations, then discard
     mc::SimulationTally tally = kernel.make_tally();
     util::Xoshiro256pp rng(options.seed ^ 0x9E3779B97F4A7C15ULL);
-    run(options.warmup_photons, rng, tally);
+    kernel.run(options.warmup_photons, rng, tally);
   }
 
   std::vector<double> rep_pps;
@@ -44,7 +42,7 @@ PresetResult measure_preset(const std::string& name, const mc::Kernel& kernel,
     mc::SimulationTally tally = kernel.make_tally();
     util::Xoshiro256pp rng(options.seed + static_cast<std::uint64_t>(rep));
     const util::Stopwatch timer;
-    run(options.photons, rng, tally);
+    kernel.run(options.photons, rng, tally);
     const double seconds = timer.seconds();
     rep_pps.push_back(static_cast<double>(options.photons) / seconds);
   }

@@ -23,6 +23,37 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDirEps = 1e-12;  // |dir.z| below this counts as horizontal
 
+/// Tally an escape through the top surface; returns true when the exit
+/// point and pathlength gate put the weight on the detector.
+bool finish_exit_top(const PhotonPacket& photon, double weight,
+                     const std::optional<DetectorSpec>& detector,
+                     SimulationTally& tally, PathRecorder& recorder,
+                     RadialTally* radial, VoxelGrid3D* path_grid) {
+  tally.add_diffuse_reflectance(weight);
+  if (radial) {
+    radial->score_reflectance(util::fast_radius(photon.pos.x, photon.pos.y),
+                              weight);
+  }
+  // "if (photon passed through detector) save path ..."
+  if (detector && detector->accepts(photon.pos, photon.optical_pathlength)) {
+    const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
+    tally.record_detection(weight, photon.optical_pathlength, radius,
+                           photon.scatter_events);
+    if (path_grid) recorder.commit(*path_grid);
+    return true;
+  }
+  return false;
+}
+
+void finish_exit_bottom(const PhotonPacket& photon, double weight,
+                        SimulationTally& tally, RadialTally* radial) {
+  tally.add_transmittance(weight);
+  if (radial) {
+    radial->score_transmittance(
+        util::fast_radius(photon.pos.x, photon.pos.y), weight);
+  }
+}
+
 }  // namespace
 
 BoundaryModel parse_boundary_model(const std::string& name) {
@@ -103,103 +134,71 @@ SimulationTally Kernel::make_tally() const {
 
 void Kernel::run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
                  SimulationTally& tally) const {
+  // One mode test per call (shard executors run thousands of photons per
+  // call), so the packet dispatch costs the scalar path nothing measurable.
   if (config_.mode == KernelMode::kPacket) {
     run_packet(*this, photon_count, rng, tally);
     return;
   }
-  const SimFn fn = select_sim_fn(tally, /*trace=*/false);
   PathRecorder recorder;
   for (std::uint64_t i = 0; i < photon_count; ++i) {
-    (this->*fn)(rng, tally, recorder, nullptr, 0);
+    simulate_one(rng, tally, recorder, nullptr, 0);
   }
 }
 
 PhotonTrace Kernel::trace(util::Xoshiro256pp& rng,
                           std::size_t max_vertices) const {
   SimulationTally scratch = make_tally();
-  const SimFn fn = select_sim_fn(scratch, /*trace=*/true);
   PathRecorder recorder;
   PhotonTrace result;
-  (this->*fn)(rng, scratch, recorder, &result, max_vertices);
+  simulate_one(rng, scratch, recorder, &result, max_vertices);
   return result;
 }
 
-void Kernel::CompiledRun::operator()(std::uint64_t photon_count,
-                                     util::Xoshiro256pp& rng,
-                                     SimulationTally& tally) const {
-  // One mode test per shard call (thousands of photons), so the packet
-  // dispatch costs the scalar path nothing measurable and the shard
-  // executors need no mode plumbing of their own.
-  if (kernel_->config_.mode == KernelMode::kPacket) {
-    run_packet(*kernel_, photon_count, rng, tally);
-    return;
-  }
-  PathRecorder recorder;
-  for (std::uint64_t i = 0; i < photon_count; ++i) {
-    (kernel_->*fn_)(rng, tally, recorder, nullptr, 0);
-  }
-}
-
-Kernel::CompiledRun Kernel::compiled_run() const noexcept {
-  return CompiledRun(this, select_sim_fn_from_config(/*trace=*/false));
-}
-
 // ---------------------------------------------------------------------------
-// The specialized photon loop.
+// The photon loop.
 //
-// BITWISE-IDENTITY CONTRACT: every specialization must draw the same rng
-// sequence and evaluate the same FP expressions, in the same order, as the
-// reference single-loop kernel this replaced (pre-compiled-path history;
-// pinned by tests/test_kernel_golden.cpp). Rules applied below:
+// BITWISE-IDENTITY CONTRACT: the loop must draw the same rng sequence and
+// evaluate the same FP expressions, in the same order, as the reference
+// kernel it replaced (pinned by tests/test_kernel_golden.cpp). Rules
+// applied below:
 //  * cached per-layer scalars (lz0..lg) hold the same doubles the Layer
 //    struct held — caching is a load-elimination, not a re-derivation;
 //  * s/µt and W·µa/µt keep their divisions (multiplying by a precomputed
 //    inverse rounds differently);
 //  * the boundary-distance filter and the one-compare TIR test only
 //    short-circuit work whose outcome is proven, never approximate it;
-//  * feature blocks compile away entirely (if constexpr), and the features
-//    they guard are the only consumers of the values they skip.
+//  * feature blocks run only when their tally handle, detector or trace
+//    sink exists, and never draw randomness.
 // ---------------------------------------------------------------------------
 
-template <BoundaryModel BM, bool F, bool R, bool P, bool D, bool T>
-void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
-                               SimulationTally& tally, PathRecorder& recorder,
-                               PhotonTrace* trace_out,
-                               std::size_t max_vertices) const {
+void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
+                          PathRecorder& recorder, PhotonTrace* trace_out,
+                          std::size_t max_vertices) const {
   const CompiledMedium& medium = compiled_;
   PhotonPacket photon = source_.launch(rng);
   tally.count_launch();
-  if constexpr (P) recorder.clear();
 
-  VoxelGrid3D* fluence = nullptr;
-  RadialTally* radial = nullptr;
-  VoxelGrid3D* path_grid = nullptr;
-  if constexpr (F) fluence = tally.fluence_grid();
-  if constexpr (R) radial = tally.radial();
-  if constexpr (P) path_grid = tally.path_grid();
+  VoxelGrid3D* const fluence = tally.fluence_grid();
+  RadialTally* const radial = tally.radial();
+  VoxelGrid3D* const path_grid = tally.path_grid();
+  const bool classical = config_.boundary_model == BoundaryModel::kClassical;
+  if (path_grid) recorder.clear();
   // Register-resident scoring handle for the per-interaction radial
   // deposits (the rare exit-surface scores below go through the tally).
   std::optional<RadialTally::Scorer> radial_scorer;
-  if constexpr (R) radial_scorer.emplace(*radial);
+  if (radial) radial_scorer.emplace(*radial);
 
   const auto note_vertex = [&](const util::Vec3& p) {
-    if constexpr (T) {
-      if (trace_out && trace_out->vertices.size() < max_vertices) {
-        trace_out->vertices.push_back(p);
-      }
-    } else {
-      (void)p;
+    if (trace_out && trace_out->vertices.size() < max_vertices) {
+      trace_out->vertices.push_back(p);
     }
   };
   const auto note_final_state = [&](const PhotonPacket& packet) {
-    if constexpr (T) {
-      if (trace_out) {
-        trace_out->fate = packet.fate;
-        trace_out->final_weight = packet.weight;
-        trace_out->optical_pathlength = packet.optical_pathlength;
-      }
-    } else {
-      (void)packet;
+    if (trace_out) {
+      trace_out->fate = packet.fate;
+      trace_out->final_weight = packet.weight;
+      trace_out->optical_pathlength = packet.optical_pathlength;
     }
   };
   note_vertex(photon.pos);
@@ -283,8 +282,7 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
     if (!interact) {
       // --- interface crossing ----------------------------------------------
       photon.pos += photon.dir * d_boundary;
-      if constexpr (T) photon.pathlength += d_boundary;
-      if constexpr (D || T) photon.optical_pathlength += d_boundary * ln;
+      photon.optical_pathlength += d_boundary * ln;
       photon.max_depth = std::max(photon.max_depth, photon.pos.z);
       note_vertex(photon.pos);
       s_left -= d_boundary * mut;
@@ -305,18 +303,18 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
         if (medium.exterior(layer, d)) {
           if (fr.total_internal) {  // "if (photon angle > critical angle)"
             photon.dir.z = -photon.dir.z;
-          } else if constexpr (BM == BoundaryModel::kClassical) {
+          } else if (classical) {
             // Deterministic partial transmission: (1-R)·W escapes now, R·W
             // keeps propagating inside.
             const double transmitted = photon.weight * (1.0 - fr.reflectance);
             bool detected = false;
             if (transmitted > 0.0) {
               if (!downward) {
-                detected = finish_exit_top_impl<R, P, D>(
-                    photon, transmitted, tally, recorder, radial, path_grid);
+                detected = finish_exit_top(photon, transmitted,
+                                           config_.detector, tally, recorder,
+                                           radial, path_grid);
               } else {
-                finish_exit_bottom_impl<R>(photon, transmitted, tally,
-                                           radial);
+                finish_exit_bottom(photon, transmitted, tally, radial);
               }
               photon.weight -= transmitted;
             }
@@ -336,14 +334,14 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
               photon.dir.z = -photon.dir.z;
             } else if (!downward) {
               // "... and end": the whole packet leaves, detected or not.
-              const bool detected = finish_exit_top_impl<R, P, D>(
-                  photon, photon.weight, tally, recorder, radial, path_grid);
+              const bool detected =
+                  finish_exit_top(photon, photon.weight, config_.detector,
+                                  tally, recorder, radial, path_grid);
               photon.fate = detected ? PhotonFate::kDetected
                                      : PhotonFate::kReflectedDiffuse;
               left_tissue = true;
             } else {
-              finish_exit_bottom_impl<R>(photon, photon.weight, tally,
-                                         radial);
+              finish_exit_bottom(photon, photon.weight, tally, radial);
               photon.fate = PhotonFate::kTransmitted;
               left_tissue = true;
             }
@@ -376,8 +374,7 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
     } else {
       // --- interaction site -------------------------------------------------
       photon.pos += photon.dir * s_phys;
-      if constexpr (T) photon.pathlength += s_phys;
-      if constexpr (D || T) photon.optical_pathlength += s_phys * ln;
+      photon.optical_pathlength += s_phys * ln;
       photon.max_depth = std::max(photon.max_depth, photon.pos.z);
       note_vertex(photon.pos);
       s_left = 0.0;
@@ -386,14 +383,12 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
       const double dw = photon.weight * lmua / mut;
       photon.weight -= dw;
       tally.add_absorption(layer, dw);
-      if constexpr (F) {
-        fluence->deposit(photon.pos, dw);
-      }
-      if constexpr (R) {
+      if (fluence) fluence->deposit(photon.pos, dw);
+      if (radial) {
         radial_scorer->absorption(
             util::fast_radius(photon.pos.x, photon.pos.y), photon.pos.z, dw);
       }
-      if constexpr (P) {
+      if (path_grid) {
         // Unit deposits: the path grid counts *visit frequency* (the
         // paper's "most common paths taken by the photons"), so every
         // detected path contributes uniformly along its length instead of
@@ -402,7 +397,7 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
       }
 
       photon.dir = deflect(photon.dir, sample_hg_cosine(lg, rng), rng);
-      if constexpr (D) ++photon.scatter_events;
+      ++photon.scatter_events;
     }
 
     // "if (weight too small) survive roulette" — applies after either
@@ -438,105 +433,10 @@ void Kernel::simulate_one_impl(util::Xoshiro256pp& rng,
     }
   }
 #endif
-  if constexpr (P) {
-    if (config_.record_all_paths && photon.fate != PhotonFate::kDetected) {
-      recorder.commit(*path_grid);
-    }
+  if (path_grid && config_.record_all_paths &&
+      photon.fate != PhotonFate::kDetected) {
+    recorder.commit(*path_grid);
   }
-}
-
-template <bool R, bool P, bool D>
-bool Kernel::finish_exit_top_impl(PhotonPacket& photon, double weight,
-                                  SimulationTally& tally,
-                                  PathRecorder& recorder, RadialTally* radial,
-                                  VoxelGrid3D* path_grid) const {
-  tally.add_diffuse_reflectance(weight);
-  if constexpr (R) {
-    radial->score_reflectance(util::fast_radius(photon.pos.x, photon.pos.y),
-                              weight);
-  }
-  if constexpr (D) {
-    // "if (photon passed through detector) save path ..."
-    if (config_.detector->accepts(photon.pos, photon.optical_pathlength)) {
-      const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
-      tally.record_detection(weight, photon.optical_pathlength, radius,
-                             photon.scatter_events);
-      if constexpr (P) recorder.commit(*path_grid);
-      return true;
-    }
-  } else {
-    (void)recorder;
-    (void)path_grid;
-  }
-  return false;
-}
-
-template <bool R>
-void Kernel::finish_exit_bottom_impl(PhotonPacket& photon, double weight,
-                                     SimulationTally& tally,
-                                     RadialTally* radial) const {
-  tally.add_transmittance(weight);
-  if constexpr (R) {
-    radial->score_transmittance(
-        util::fast_radius(photon.pos.x, photon.pos.y), weight);
-  } else {
-    (void)photon;
-    (void)radial;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch table: index bits are (BM << 5) | F << 4 | R << 3 | P << 2 |
-// D << 1 | T. All 64 specializations are instantiated here, in this TU.
-// ---------------------------------------------------------------------------
-
-template <std::size_t I>
-Kernel::SimFn Kernel::sim_table_entry() noexcept {
-  constexpr BoundaryModel bm = (I & 32) != 0 ? BoundaryModel::kClassical
-                                             : BoundaryModel::kProbabilistic;
-  return &Kernel::simulate_one_impl<bm, (I & 16) != 0, (I & 8) != 0,
-                                    (I & 4) != 0, (I & 2) != 0, (I & 1) != 0>;
-}
-
-Kernel::SimFn Kernel::sim_fn_at(std::size_t index) noexcept {
-  static const std::array<SimFn, 64> table =
-      []<std::size_t... Is>(std::index_sequence<Is...>) {
-        return std::array<SimFn, 64>{sim_table_entry<Is>()...};
-      }(std::make_index_sequence<64>{});
-  return table[index];
-}
-
-namespace {
-
-/// The single source of the index-bit layout: both selectors go through
-/// here, so the tally-derived and config-derived paths cannot drift.
-std::size_t sim_index(BoundaryModel model, bool fluence, bool radial,
-                      bool path, bool detector, bool trace) noexcept {
-  std::size_t index = 0;
-  if (model == BoundaryModel::kClassical) index |= 32;
-  if (fluence) index |= 16;
-  if (radial) index |= 8;
-  if (path) index |= 4;
-  if (detector) index |= 2;
-  if (trace) index |= 1;
-  return index;
-}
-
-}  // namespace
-
-Kernel::SimFn Kernel::select_sim_fn(const SimulationTally& tally,
-                                    bool trace) const noexcept {
-  return sim_fn_at(sim_index(
-      config_.boundary_model, tally.fluence_grid() != nullptr,
-      tally.radial() != nullptr, tally.path_grid() != nullptr,
-      config_.detector.has_value(), trace));
-}
-
-Kernel::SimFn Kernel::select_sim_fn_from_config(bool trace) const noexcept {
-  return sim_fn_at(sim_index(
-      config_.boundary_model, config_.tally.enable_fluence_grid,
-      config_.tally.enable_radial, config_.tally.enable_path_grid,
-      config_.detector.has_value(), trace));
 }
 
 }  // namespace phodis::mc

@@ -16,20 +16,18 @@
 // across layer boundaries, weight deposition W·µa/µt at interaction sites,
 // Henyey–Greenstein scattering, Fresnel boundaries, Russian roulette.
 //
-// Execution model (the compiled hot path): at construction the medium is
-// lowered into CompiledMedium SoA tables, and the photon loop exists as a
-// family of template specializations — one per combination of boundary
-// model and enabled tally features (fluence grid, radial tally, path grid,
-// detector, trace capture). run() resolves the right specialization once
-// per call from a dispatch table, so the common no-grids configuration
-// executes a loop with no tally-feature tests, no string-bearing Layer
-// loads, and no bounds checks — while producing bitwise-identical tallies
-// to the original single-loop kernel (enforced by tests/test_kernel_golden;
-// sole intentional exception: radial scoring radii moved from std::hypot
-// to util::fast_radius, a last-ulp change re-recorded in that test).
+// Execution model: at construction the medium is lowered into
+// CompiledMedium SoA tables. The photon loop is one non-template function
+// that reads its features at run time — the fluence, radial and path-grid
+// handles from the tally, the boundary model and detector from the config,
+// trace capture from a non-null trace sink. Those tests are loop-invariant
+// branches the predictor learns within a photon. The loop produces
+// bitwise-identical tallies to the original reference kernel (enforced by
+// tests/test_kernel_golden; sole intentional exception: radial scoring
+// radii moved from std::hypot to util::fast_radius, a last-ulp change
+// re-recorded in that test).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -66,7 +64,7 @@ std::string to_string(BoundaryModel model);
 
 /// Which photon loop executes a run.
 enum class KernelMode : std::uint8_t {
-  /// One photon at a time through the specialized scalar loop — the
+  /// One photon at a time through the scalar loop — the
   /// reference oracle, bitwise-pinned by tests/test_kernel_golden.cpp.
   /// Default everywhere.
   kScalar = 0,
@@ -125,7 +123,8 @@ class Kernel {
   SimulationTally make_tally() const;
 
   /// Simulate `photon_count` packets, accumulating into `tally`. The
-  /// specialized loop is selected once from the tally's enabled features.
+  /// tally's enabled features (fluence, radial, path grid) decide what
+  /// each interaction scores; `tally` must have the shape of make_tally().
   void run(std::uint64_t photon_count, util::Xoshiro256pp& rng,
            SimulationTally& tally) const;
 
@@ -143,60 +142,12 @@ class Kernel {
   const Source& source() const noexcept { return source_; }
 
  private:
-  /// Pointer to one photon-loop specialization.
-  using SimFn = void (Kernel::*)(util::Xoshiro256pp&, SimulationTally&,
-                                 PathRecorder&, PhotonTrace*,
-                                 std::size_t) const;
-
- public:
-  /// A run entry with the feature dispatch pre-resolved from the kernel's
-  /// own tally configuration. Shard executors launch thousands of short
-  /// runs per task; this hoists the per-run specialization lookup out of
-  /// the shard loop. The Kernel must outlive the handle, and tallies
-  /// passed to operator() must have the shape of make_tally().
-  class CompiledRun {
-   public:
-    void operator()(std::uint64_t photon_count, util::Xoshiro256pp& rng,
-                    SimulationTally& tally) const;
-
-   private:
-    friend class Kernel;
-    CompiledRun(const Kernel* kernel, SimFn fn) noexcept
-        : kernel_(kernel), fn_(fn) {}
-    const Kernel* kernel_;
-    SimFn fn_;
-  };
-
-  CompiledRun compiled_run() const noexcept;
-
- private:
-  /// The photon loop, specialized at compile time on the boundary model
-  /// and on which tally features exist. Template parameters: F fluence
-  /// grid, R radial tally, P path grid, D detector, T trace capture.
-  /// Every specialization reproduces the reference loop bit for bit —
-  /// same rng draw order, same FP expression order (see the golden test).
-  template <BoundaryModel BM, bool F, bool R, bool P, bool D, bool T>
-  void simulate_one_impl(util::Xoshiro256pp& rng, SimulationTally& tally,
-                         PathRecorder& recorder, PhotonTrace* trace_out,
-                         std::size_t max_vertices) const;
-
-  /// Tally an escape through the top surface; returns true when the exit
-  /// point and pathlength gate put the weight on the detector.
-  template <bool R, bool P, bool D>
-  bool finish_exit_top_impl(PhotonPacket& photon, double weight,
-                            SimulationTally& tally, PathRecorder& recorder,
-                            RadialTally* radial, VoxelGrid3D* path_grid) const;
-  template <bool R>
-  void finish_exit_bottom_impl(PhotonPacket& photon, double weight,
-                               SimulationTally& tally,
-                               RadialTally* radial) const;
-
-  /// Dispatch-table plumbing (table built in kernel.cpp).
-  template <std::size_t I>
-  static SimFn sim_table_entry() noexcept;
-  static SimFn sim_fn_at(std::size_t index) noexcept;
-  SimFn select_sim_fn(const SimulationTally& tally, bool trace) const noexcept;
-  SimFn select_sim_fn_from_config(bool trace) const noexcept;
+  /// The photon loop. A non-null `trace_out` captures up to `max_vertices`
+  /// trajectory vertices and the final state; nothing else reads it, so
+  /// run() and trace() make the same rng draws and tally writes.
+  void simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
+                    PathRecorder& recorder, PhotonTrace* trace_out,
+                    std::size_t max_vertices) const;
 
   KernelConfig config_;
   Source source_;

@@ -1,6 +1,6 @@
 // Hot-path kernel counters, compile-time gated by PHODIS_OBS_KERNEL.
 //
-// The specialized photon loop (mc/kernel.cpp) accumulates per-photon
+// The scalar photon loop (mc/kernel.cpp) accumulates per-photon
 // tallies in locals and flushes them here — a handful of relaxed
 // fetch_adds per *photon*, not per interaction — only when the toggle is
 // defined. When it is not, the flush blocks compile to nothing and this

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace phodis::obs {
 
 namespace {
@@ -47,33 +49,6 @@ std::string format_f64(double v) {
   if (std::sscanf(buf, "%lf", &back) == 1 && back == v) return buf;
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -181,14 +156,14 @@ std::string Snapshot::to_json() const {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const MetricSample& s = samples[i];
     out += "    {\"name\": \"";
-    append_json_escaped(out, s.name);
+    util::append_json_escaped(out, s.name);
     out += "\", \"labels\": {";
     for (std::size_t l = 0; l < s.labels.size(); ++l) {
       if (l > 0) out += ", ";
       out += '"';
-      append_json_escaped(out, s.labels[l].first);
+      util::append_json_escaped(out, s.labels[l].first);
       out += "\": \"";
-      append_json_escaped(out, s.labels[l].second);
+      util::append_json_escaped(out, s.labels[l].second);
       out += '"';
     }
     out += "}, \"kind\": \"" + to_string(s.kind) + "\", ";

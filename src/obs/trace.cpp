@@ -1,41 +1,15 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <tuple>
 
+#include "util/json.hpp"
+
 namespace phodis::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::atomic<std::uint32_t> g_next_thread_id{0};
 
@@ -90,18 +64,18 @@ std::string TraceRecorder::to_json() const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     out += "{\"name\": \"";
-    append_json_escaped(out, e.name);
+    util::append_json_escaped(out, e.name);
     out += "\", \"cat\": \"";
-    append_json_escaped(out, e.category);
+    util::append_json_escaped(out, e.category);
     out += "\", \"ph\": \"X\", \"ts\": " + std::to_string(e.ts_us) +
            ", \"dur\": " + std::to_string(e.dur_us) +
            ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) + ", \"args\": {";
     for (std::size_t a = 0; a < e.args.size(); ++a) {
       if (a > 0) out += ", ";
       out += '"';
-      append_json_escaped(out, e.args[a].first);
+      util::append_json_escaped(out, e.args[a].first);
       out += "\": \"";
-      append_json_escaped(out, e.args[a].second);
+      util::append_json_escaped(out, e.args[a].second);
       out += '"';
     }
     out += "}}";

@@ -368,6 +368,35 @@ TEST(Kernel, TraceRespectsVertexCap) {
   EXPECT_LE(trace.vertices.size(), 5u);
 }
 
+TEST(Kernel, TraceConsumesSameDrawsAsRun) {
+  // trace() and run() share one photon loop; a trace must consume exactly
+  // the draws one run() photon does, whatever the enabled features, or
+  // traced examples would drift from the tallies they illustrate.
+  KernelConfig classical = detection_config();
+  classical.medium = homogeneous_semi_infinite(tissue_like(), 1.0);
+  classical.boundary_model = BoundaryModel::kClassical;
+  classical.tally.enable_path_grid = true;
+  classical.tally.path_spec = GridSpec::cube(20, 15.0, 20.0);
+
+  KernelConfig probabilistic = semi_infinite_config(1.4);
+  probabilistic.tally.enable_radial = true;
+  probabilistic.tally.enable_fluence_grid = true;
+  probabilistic.tally.fluence_spec = GridSpec::cube(20, 15.0, 20.0);
+
+  for (const KernelConfig& config : {classical, probabilistic}) {
+    const Kernel kernel(config);
+    SimulationTally tally = kernel.make_tally();
+    util::Xoshiro256pp rng_a(31);
+    util::Xoshiro256pp rng_b(31);
+    for (int photon = 0; photon < 300; ++photon) {
+      (void)kernel.trace(rng_a);
+      kernel.run(1, rng_b, tally);
+      ASSERT_EQ(rng_a.state(), rng_b.state())
+          << to_string(config.boundary_model) << " photon " << photon;
+    }
+  }
+}
+
 // ---------- determinism ------------------------------------------------------
 
 TEST(Kernel, RunsAreSeedDeterministic) {

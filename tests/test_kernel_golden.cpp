@@ -2,8 +2,8 @@
 //
 // The recorded hashes pin the kernel's serialized tally bytes — every
 // weight total, histogram bin, grid voxel — at a fixed seed, across every
-// template specialization of the photon loop (boundary models, grids,
-// detector, radial). They were recorded from the pre-compiled-path
+// feature path of the photon loop (boundary models, grids, detector,
+// radial). They were recorded from the pre-compiled-path
 // reference kernel (PR 3 tree), except two_layer_radial, recorded when
 // the radial scorer moved from std::hypot to util::fast_radius (an
 // intentional last-ulp change; physics equality is covered by
@@ -55,7 +55,7 @@ mc::KernelConfig two_layer_config() {
   return config;
 }
 
-// --- serial goldens: one per loop specialization family ---------------------
+// --- serial goldens: one per loop feature family -----------------------------
 
 TEST(KernelGolden, TwoLayerProbabilistic) {
   EXPECT_EQ(run_hash(two_layer_config(), 10'000), 0x1CA835547D4A3A52ULL);

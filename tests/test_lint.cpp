@@ -950,7 +950,8 @@ TEST(Sarif, ShapeEscapingAndSuppressions) {
   v.file = "src/mc/kernel.cpp";
   v.line = 42;
   v.rule = "D7";
-  v.message = "a \"quoted\" message\nwith a newline";
+  v.message = "a \"quoted\" message\nwith a newline\r\x01"
+              " and control bytes";
   lint::Diagnostic s;
   s.file = "src/net/socket.cpp";
   s.line = 7;
@@ -973,7 +974,8 @@ TEST(Sarif, ShapeEscapingAndSuppressions) {
   EXPECT_NE(json.find("\"startLine\": 42"), std::string::npos);
   EXPECT_NE(json.find("%SRCROOT%"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(json.find("\\nwith a newline"), std::string::npos);
+  EXPECT_NE(json.find("\\nwith a newline\\r\\u0001 and control bytes"),
+            std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"inSource\""), std::string::npos);
   EXPECT_NE(json.find("\"justification\": \"kernel API surface\""),
             std::string::npos);

@@ -3,44 +3,11 @@
 #include <array>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace phodis::lint {
 
 namespace {
-
-/// JSON string escaping (control chars, quotes, backslash).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 struct RuleDoc {
   const char* id;
@@ -86,7 +53,7 @@ std::string to_sarif(const std::vector<Diagnostic>& diags) {
   for (std::size_t i = 0; i < kRuleDocs.size(); ++i) {
     out << "            {\"id\": \"" << kRuleDocs[i].id
         << "\", \"shortDescription\": {\"text\": \""
-        << json_escape(kRuleDocs[i].text) << "\"}}"
+        << util::json_escape(kRuleDocs[i].text) << "\"}}"
         << (i + 1 < kRuleDocs.size() ? "," : "") << "\n";
   }
   out << "          ]\n"
@@ -100,17 +67,17 @@ std::string to_sarif(const std::vector<Diagnostic>& diags) {
       if (d.rule == kRuleDocs[r].id) rule_index = static_cast<int>(r);
     }
     out << "        {\n"
-        << "          \"ruleId\": \"" << json_escape(d.rule) << "\",\n";
+        << "          \"ruleId\": \"" << util::json_escape(d.rule) << "\",\n";
     if (rule_index >= 0) {
       out << "          \"ruleIndex\": " << rule_index << ",\n";
     }
     out << "          \"level\": \"error\",\n"
-        << "          \"message\": {\"text\": \"" << json_escape(d.message)
+        << "          \"message\": {\"text\": \"" << util::json_escape(d.message)
         << "\"},\n"
         << "          \"locations\": [\n"
         << "            {\"physicalLocation\": {\"artifactLocation\": "
            "{\"uri\": \""
-        << json_escape(d.file)
+        << util::json_escape(d.file)
         << "\", \"uriBaseId\": \"%SRCROOT%\"}, \"region\": {\"startLine\": "
         << d.line << "}}}\n"
         << "          ]";
@@ -118,7 +85,7 @@ std::string to_sarif(const std::vector<Diagnostic>& diags) {
       out << ",\n"
           << "          \"suppressions\": [\n"
           << "            {\"kind\": \"inSource\", \"justification\": \""
-          << json_escape(d.suppress_reason) << "\"}\n"
+          << util::json_escape(d.suppress_reason) << "\"}\n"
           << "          ]";
     }
     out << "\n        }" << (i + 1 < diags.size() ? "," : "") << "\n";
