@@ -15,7 +15,7 @@ CompiledMedium::CompiledMedium(const LayeredMedium& medium) {
   mut_.reserve(count);
   inv_mut_.reserve(count);
   mua_.reserve(count);
-  albedo_.reserve(count);
+  afrac_.reserve(count);
   g_.reserve(count);
   n_t_.reserve(2 * count);
   n_ratio_.reserve(2 * count);
@@ -33,7 +33,9 @@ CompiledMedium::CompiledMedium(const LayeredMedium& medium) {
                            ? 1.0 / layer.props.mut()
                            : std::numeric_limits<double>::infinity());
     mua_.push_back(layer.props.mua);
-    albedo_.push_back(layer.props.albedo());
+    afrac_.push_back(layer.props.mut() > 0.0
+                         ? layer.props.mua / layer.props.mut()
+                         : 0.0);
     g_.push_back(layer.props.g);
 
     for (int d = 0; d < 2; ++d) {
@@ -54,10 +56,6 @@ CompiledMedium::CompiledMedium(const LayeredMedium& medium) {
   if (count > 0) {
     entry_scale_ = n_above_ / n_[0];
   }
-}
-
-double CompiledMedium::mean_free_path(std::size_t i) const noexcept {
-  return inv_mut_[i];
 }
 
 }  // namespace phodis::mc

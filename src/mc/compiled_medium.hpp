@@ -6,7 +6,7 @@
 // builders, reports, and serialization, but not for a loop that touches
 // layer optics several thousand times per photon. At Kernel construction
 // the medium is compiled once into parallel arrays of plain doubles
-// (z0/z1/n/µt/1/µt/albedo/g) plus, per layer and crossing direction, the
+// (z0/z1/n/µt/1/µt/µa/µa÷µt/g) plus, per layer and crossing direction, the
 // adjacent refractive index, the precomputed Snell ratio n_i/n_t, and a
 // conservative critical-angle cosine so that total internal reflection is
 // decided with a single compare before any Fresnel square root.
@@ -18,17 +18,16 @@
 //    n_ratio = n_i / n_t are each one IEEE operation on identical inputs,
 //    so the cached double is identical to the recomputed one.
 //  * Rewriting an expression is NOT safe: s/µt must stay a division in the
-//    loop because s·(1/µt) rounds differently. inv_mut is still part of
-//    the table for consumers outside the pinned path (cost models,
-//    mean-free-path queries) where the single-rounding inverse is the
-//    natural quantity.
+//    loop because s·(1/µt) rounds differently. inv_mut and µa/µt are
+//    still part of the table for the packet loop, which pins its own
+//    goldens, so the single-rounding form is fair game there.
 //  * tir_cos is deliberately conservative (critical cosine minus a margin
 //    wider than the Fresnel evaluation's rounding error): cos θi at or
-//    below it is provably beyond the critical angle, so the loop reflects
-//    without drawing or computing anything; cos θi above it falls through
-//    to the exact Fresnel expression, which makes its own TIR decision.
-//    Either way the decision — and every tallied bit — matches the
-//    uncompiled kernel.
+//    below it is provably beyond the critical angle, so cross_interface
+//    reflects without drawing or computing anything; cos θi above it falls
+//    through to the exact Fresnel expression, which makes its own TIR
+//    decision. Either way the decision — and every tallied bit — matches
+//    the uncompiled kernel.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +52,8 @@ class CompiledMedium {
   double mut(std::size_t i) const noexcept { return mut_[i]; }
   double inv_mut(std::size_t i) const noexcept { return inv_mut_[i]; }
   double mua(std::size_t i) const noexcept { return mua_[i]; }
-  double albedo(std::size_t i) const noexcept { return albedo_[i]; }
+  /// µa/µt, the weight fraction an interaction deposits (0 when µt = 0).
+  double absorbed_fraction(std::size_t i) const noexcept { return afrac_[i]; }
   double g(std::size_t i) const noexcept { return g_[i]; }
 
   // --- per-interface tables, direction d: 0 = up, 1 = down ----------------
@@ -80,12 +80,8 @@ class CompiledMedium {
   /// (precomputed division, bit-identical to the runtime one).
   double entry_scale() const noexcept { return entry_scale_; }
 
-  /// Mean free path 1/µt of layer i [mm] (uses the cached inverse;
-  /// +inf in vacuum-like layers).
-  double mean_free_path(std::size_t i) const noexcept;
-
  private:
-  std::vector<double> z0_, z1_, n_, mut_, inv_mut_, mua_, albedo_, g_;
+  std::vector<double> z0_, z1_, n_, mut_, inv_mut_, mua_, afrac_, g_;
   std::vector<double> n_t_, n_ratio_, tir_cos_;  // 2 entries per layer
   std::vector<unsigned char> exterior_;
   double n_above_ = 1.0;

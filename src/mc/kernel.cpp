@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "mc/fresnel.hpp"
+#include "mc/interface.hpp"
 #include "mc/packet_kernel.hpp"
 #include "mc/scatter.hpp"
 #include "util/fastmath.hpp"
@@ -22,37 +22,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDirEps = 1e-12;  // |dir.z| below this counts as horizontal
-
-/// Tally an escape through the top surface; returns true when the exit
-/// point and pathlength gate put the weight on the detector.
-bool finish_exit_top(const PhotonPacket& photon, double weight,
-                     const std::optional<DetectorSpec>& detector,
-                     SimulationTally& tally, PathRecorder& recorder,
-                     RadialTally* radial, VoxelGrid3D* path_grid) {
-  tally.add_diffuse_reflectance(weight);
-  if (radial) {
-    radial->score_reflectance(util::fast_radius(photon.pos.x, photon.pos.y),
-                              weight);
-  }
-  // "if (photon passed through detector) save path ..."
-  if (detector && detector->accepts(photon.pos, photon.optical_pathlength)) {
-    const double radius = util::fast_radius(photon.pos.x, photon.pos.y);
-    tally.record_detection(weight, photon.optical_pathlength, radius,
-                           photon.scatter_events);
-    if (path_grid) recorder.commit(*path_grid);
-    return true;
-  }
-  return false;
-}
-
-void finish_exit_bottom(const PhotonPacket& photon, double weight,
-                        SimulationTally& tally, RadialTally* radial) {
-  tally.add_transmittance(weight);
-  if (radial) {
-    radial->score_transmittance(
-        util::fast_radius(photon.pos.x, photon.pos.y), weight);
-  }
-}
 
 }  // namespace
 
@@ -183,6 +152,8 @@ void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
   RadialTally* const radial = tally.radial();
   VoxelGrid3D* const path_grid = tally.path_grid();
   const bool classical = config_.boundary_model == BoundaryModel::kClassical;
+  const DetectorSpec* const detector =
+      config_.detector ? &*config_.detector : nullptr;
   if (path_grid) recorder.clear();
   // Register-resident scoring handle for the per-interaction radial
   // deposits (the rare exit-surface scores below go through the tally).
@@ -203,30 +174,8 @@ void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
   };
   note_vertex(photon.pos);
 
-  // Specular loss and refraction at the air/tissue interface before the
-  // first step ("initialise photon" in Fig. 1). For a collimated source
-  // this is the normal-incidence ((n1-n2)/(n1+n2))^2; diverging sources
-  // hit at an angle, so the full Fresnel expression applies and the
-  // transmitted direction bends per Snell.
-  const FresnelResult entry =
-      fresnel(medium.n_above(), medium.n(0), photon.dir.z);
-  tally.add_specular(photon.weight * entry.reflectance);
-  photon.weight *= 1.0 - entry.reflectance;
-  if (entry.total_internal || photon.weight <= 0.0) {
-    photon.fate = PhotonFate::kReflectedSpecular;
-    tally.record_max_depth(0.0, 1.0);
-    note_final_state(photon);
-#if defined(PHODIS_OBS_KERNEL)
-    obs::KernelCounters::global().photons_launched.fetch_add(
-        1, std::memory_order_relaxed);
-#endif
-    return;
-  }
-  const double entry_scale = medium.entry_scale();
-  photon.dir.x *= entry_scale;
-  photon.dir.y *= entry_scale;
-  photon.dir.z = entry.cos_transmit;
-  photon.dir = photon.dir.normalized();
+  // "initialise photon": a packet reflected at the surface skips the loop.
+  enter_tissue(photon, medium, tally);
 
   double s_left = 0.0;  // dimensionless step remaining across boundaries
   std::uint64_t interactions = 0;
@@ -288,89 +237,35 @@ void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
       s_left -= d_boundary * mut;
       if (s_left < 0.0) s_left = 0.0;
 
-      const int d = downward ? 1 : 0;
-      const double cos_i = std::abs(photon.dir.z);
-      bool left_tissue = false;
-      if (cos_i >= kFresnelGrazeEps && cos_i <= medium.tir_cos(layer, d)) {
-        // One-compare TIR: provably beyond the critical angle, reflect
-        // without evaluating Fresnel (the exact path below reaches the
-        // same reflection through fresnel()'s total_internal branch, at
-        // the cost of a sqrt; neither consumes randomness).
-        photon.dir.z = -photon.dir.z;
-      } else {
-        const FresnelResult fr =
-            fresnel(ln, medium.neighbour_n(layer, d), cos_i);
-        if (medium.exterior(layer, d)) {
-          if (fr.total_internal) {  // "if (photon angle > critical angle)"
-            photon.dir.z = -photon.dir.z;
-          } else if (classical) {
-            // Deterministic partial transmission: (1-R)·W escapes now, R·W
-            // keeps propagating inside.
-            const double transmitted = photon.weight * (1.0 - fr.reflectance);
-            bool detected = false;
-            if (transmitted > 0.0) {
-              if (!downward) {
-                detected = finish_exit_top(photon, transmitted,
-                                           config_.detector, tally, recorder,
-                                           radial, path_grid);
-              } else {
-                finish_exit_bottom(photon, transmitted, tally, radial);
-              }
-              photon.weight -= transmitted;
-            }
-            photon.dir.z = -photon.dir.z;
-            if (photon.weight <= 0.0) {
-              photon.fate = detected    ? PhotonFate::kDetected
-                            : !downward ? PhotonFate::kReflectedDiffuse
-                                        : PhotonFate::kTransmitted;
-              left_tissue = true;
-            }
-            // Otherwise the packet survives a detection event with its
-            // reflected fraction and may be detected again later; each
-            // partial escape has already been tallied.
-          } else {
-            // Probabilistic: the whole packet either escapes or reflects.
-            if (rng.uniform() < fr.reflectance) {
-              photon.dir.z = -photon.dir.z;
-            } else if (!downward) {
-              // "... and end": the whole packet leaves, detected or not.
-              const bool detected =
-                  finish_exit_top(photon, photon.weight, config_.detector,
-                                  tally, recorder, radial, path_grid);
-              photon.fate = detected ? PhotonFate::kDetected
-                                     : PhotonFate::kReflectedDiffuse;
-              left_tissue = true;
-            } else {
-              finish_exit_bottom(photon, photon.weight, tally, radial);
-              photon.fate = PhotonFate::kTransmitted;
-              left_tissue = true;
-            }
-          }
-          // phodis-lint: allow(D7) draw is intentionally skipped at total internal reflection — both MCML and our golden hashes pin this exact draw sequence; hoisting it would consume one extra uniform per TIR event and change every tally downstream
-        } else if (fr.total_internal || rng.uniform() < fr.reflectance) {
-          // Interior interface between two tissue layers. Reflection is
-          // sampled probabilistically in both boundary models (a
-          // single-packet tracker cannot fork into two continuing packets).
-          photon.dir.z = -photon.dir.z;
+      const Crossing c = cross_interface(medium, layer, photon.dir,
+                                         photon.weight, classical, rng);
+      if (c.kind == Crossing::kRefracted) {
+        photon.layer = layer;
+        lz0 = medium.z0(layer);
+        lz1 = medium.z1(layer);
+        ln = medium.n(layer);
+        lmut = medium.mut(layer);
+        lmua = medium.mua(layer);
+        lg = medium.g(layer);
+      } else if (c.kind != Crossing::kReflected) {
+        // "if (photon passed through detector) save path and end": a
+        // classical split escapes part of the packet and keeps the rest.
+        bool detected = false;
+        if (downward) {
+          score_exit_bottom(photon.pos, c.escaped, tally, radial);
         } else {
-          // Refract: Snell's law preserves the tangential direction scaled
-          // by n_i/n_t; the packet crosses into the adjacent layer.
-          const double scale = medium.n_ratio(layer, d);
-          photon.dir.x *= scale;
-          photon.dir.y *= scale;
-          photon.dir.z = downward ? fr.cos_transmit : -fr.cos_transmit;
-          photon.dir = photon.dir.normalized();
-          layer = downward ? layer + 1 : layer - 1;
-          photon.layer = layer;
-          lz0 = medium.z0(layer);
-          lz1 = medium.z1(layer);
-          ln = medium.n(layer);
-          lmut = medium.mut(layer);
-          lmua = medium.mua(layer);
-          lg = medium.g(layer);
+          detected = score_exit_top(photon.pos, photon.optical_pathlength,
+                                    photon.scatter_events, c.escaped,
+                                    detector, tally, radial);
+          if (detected && path_grid) recorder.commit(*path_grid);
+        }
+        if (c.kind == Crossing::kEscaped) {
+          photon.fate = detected   ? PhotonFate::kDetected
+                        : downward ? PhotonFate::kTransmitted
+                                   : PhotonFate::kReflectedDiffuse;
+          break;
         }
       }
-      if (left_tissue) break;
     } else {
       // --- interaction site -------------------------------------------------
       photon.pos += photon.dir * s_phys;
@@ -405,15 +300,10 @@ void Kernel::simulate_one(util::Xoshiro256pp& rng, SimulationTally& tally,
     // photon reaching this point is alive: every terminal outcome above
     // breaks out of the loop first.)
     if (photon.weight < roulette_threshold) {
-      const double before = photon.weight;
-      const double after = play_roulette(before, config_.roulette, rng);
-      if (after == 0.0) {
-        tally.add_roulette_loss(before);
+      if (!survive_roulette(photon.weight, config_.roulette, tally, rng)) {
         photon.fate = PhotonFate::kAbsorbed;
         break;
       }
-      tally.add_roulette_gain(after - before);
-      photon.weight = after;
     }
   }
 

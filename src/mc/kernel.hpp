@@ -25,7 +25,8 @@
 // bitwise-identical tallies to the original reference kernel (enforced by
 // tests/test_kernel_golden; sole intentional exception: radial scoring
 // radii moved from std::hypot to util::fast_radius, a last-ulp change
-// re-recorded in that test).
+// re-recorded in that test). Entry, crossing, exit and roulette physics
+// are the mc/interface.hpp operators the packet loop shares.
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,9 @@
 //      advance positions, pathlengths, depths          [vector]
 //   3. HG cosine + azimuth rotation from (u_evt,
 //      u_phi), applied to interaction lanes only       [vector, vmath]
-//   4. per lane: boundary physics (Fresnel/TIR/refract
-//      via u_evt), absorption deposits, roulette,
+//   4. per lane: the shared mc/interface.hpp operators
+//      (cross_interface with u_evt, score_exit_*,
+//      survive_roulette), absorption deposits,
 //      death + refill from the photon stream           [scalar]
 //
 // Every lane consumes the same three draws per iteration from its own
@@ -34,7 +35,7 @@
 #include <cstddef>
 #include <limits>
 
-#include "mc/fresnel.hpp"
+#include "mc/interface.hpp"
 #include "mc/photon.hpp"
 #include "mc/radial.hpp"
 #include "mc/vmath.hpp"
@@ -152,6 +153,20 @@ inline double lane_uniform(PacketState& p, std::size_t i) noexcept {
   return static_cast<double>(lane_next(p, i) >> 12) * 0x1.0p-52;
 }
 
+/// The Rng cross_interface sees on a crossing lane: that lane's pre-drawn
+/// event uniform from the fixed schedule.
+struct PredrawnUniform {
+  double u;
+  double uniform() const noexcept { return u; }
+};
+
+/// The Rng survive_roulette sees: one lazy draw from lane i's sub-stream.
+struct LaneRng {
+  PacketState& p;
+  std::size_t i;
+  double uniform() noexcept { return lane_uniform(p, i); }
+};
+
 /// Henyey–Greenstein cosine + sine for all lanes, using the hoisted
 /// per-layer constants from PacketState (one division per event instead
 /// of three: the 1/(2g) factor is a precomputed multiply — one extra
@@ -182,7 +197,7 @@ __attribute__((noinline)) void lanes_hg_cosine(
 }
 
 inline void load_layer(PacketState& p, std::size_t i,
-                       const CompiledMedium& medium, const double* afrac,
+                       const CompiledMedium& medium,
                        std::size_t layer) noexcept {
   p.layer[i] = static_cast<std::uint32_t>(layer);
   p.lz0[i] = medium.z0(layer);
@@ -192,7 +207,7 @@ inline void load_layer(PacketState& p, std::size_t i,
   p.linvmut[i] = medium.inv_mut(layer);
   const double g = medium.g(layer);
   p.lg[i] = g;
-  p.lafrac[i] = afrac[layer];
+  p.lafrac[i] = medium.absorbed_fraction(layer);
   p.lhg_1mg2[i] = 1.0 - g * g;
   p.lhg_1pg2[i] = 1.0 + g * g;
   p.lhg_1mg[i] = 1.0 - g;
@@ -204,8 +219,7 @@ inline void load_layer(PacketState& p, std::size_t i,
 /// moving down, so the vector sections compute d_move = 0 forever and
 /// never produce a non-finite value. The scalar section skips it.
 inline void park_lane(PacketState& p, std::size_t i,
-                      const CompiledMedium& medium,
-                      const double* afrac) noexcept {
+                      const CompiledMedium& medium) noexcept {
   p.active[i] = 0;
   p.x[i] = p.y[i] = 0.0;
   p.ux[i] = p.uy[i] = 0.0;
@@ -214,7 +228,7 @@ inline void park_lane(PacketState& p, std::size_t i,
   p.opl[i] = p.maxd[i] = 0.0;
   p.scat[i] = 0;
   p.inter[i] = 0;
-  load_layer(p, i, medium, afrac, 0);
+  load_layer(p, i, medium, 0);
   // Pin the lane exactly on a boundary of layer 0, heading into it, so
   // the vector geometry computes d_boundary = 0 (a zero-length "crossing"
   // with no state drift) every iteration. The bottom face can be +inf for
@@ -227,14 +241,13 @@ inline void park_lane(PacketState& p, std::size_t i,
 /// Install the next live photon from the stream into lane i. Launch
 /// sampling runs through a temporary Xoshiro256pp seeded from the lane's
 /// sub-stream state (and written back after), so refill consumes the
-/// exact same generator the lane's batched draws use. Photons killed at
-/// the surface (specular TIR / zero transmitted weight) are tallied and
-/// the next stream photon is tried — mirroring the scalar entry path.
+/// exact same generator the lane's batched draws use. Photons that
+/// enter_tissue reflects at the surface are tallied and the next stream
+/// photon is tried, as in the scalar loop.
 /// Returns false when the stream is exhausted (caller parks the lane).
 inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
-                        const CompiledMedium& medium, const double* afrac,
-                        SimulationTally& tally, std::uint64_t& next_photon,
-                        std::uint64_t photon_count,
+                        const CompiledMedium& medium, SimulationTally& tally,
+                        std::uint64_t& next_photon, std::uint64_t photon_count,
                         std::uint64_t& launched) noexcept {
   while (next_photon < photon_count) {
     ++next_photon;
@@ -249,24 +262,16 @@ inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
     tally.count_launch();
     ++launched;
 
-    const FresnelResult entry =
-        fresnel(medium.n_above(), medium.n(0), ph.dir.z);
-    tally.add_specular(ph.weight * entry.reflectance);
-    ph.weight *= 1.0 - entry.reflectance;
-    if (entry.total_internal || ph.weight <= 0.0) {
+    if (!enter_tissue(ph, medium, tally)) {
       tally.record_max_depth(0.0, 1.0);
       continue;
     }
-    const double es = medium.entry_scale();
-    const util::Vec3 dir =
-        util::Vec3{ph.dir.x * es, ph.dir.y * es, entry.cos_transmit}
-            .normalized();
     p.x[i] = ph.pos.x;
     p.y[i] = ph.pos.y;
     p.z[i] = ph.pos.z;
-    p.ux[i] = dir.x;
-    p.uy[i] = dir.y;
-    p.uz[i] = dir.z;
+    p.ux[i] = ph.dir.x;
+    p.uy[i] = ph.dir.y;
+    p.uz[i] = ph.dir.z;
     p.w[i] = ph.weight;
     p.s_left[i] = 0.0;
     p.opl[i] = 0.0;
@@ -274,7 +279,7 @@ inline bool refill_lane(PacketState& p, std::size_t i, const Source& source,
     p.scat[i] = 0;
     p.inter[i] = 0;
     p.active[i] = 1;
-    load_layer(p, i, medium, afrac, 0);
+    load_layer(p, i, medium, 0);
     return true;
   }
   return false;
@@ -288,20 +293,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
   const KernelConfig& config = kernel.config();
   const Source& source = kernel.source();
 
-  // Per-layer absorbed fraction µa/µt, divided once here. The scalar loop
-  // keeps the per-interaction division for its bitwise contract; packet
-  // mode pins its own goldens, so the single-rounding form is fair game.
-  double afrac_storage[64];
-  std::vector<double> afrac_heap;
-  double* afrac = afrac_storage;
-  if (medium.layer_count() > 64) {
-    afrac_heap.resize(medium.layer_count());
-    afrac = afrac_heap.data();
-  }
-  for (std::size_t l = 0; l < medium.layer_count(); ++l) {
-    afrac[l] = medium.mua(l) / medium.mut(l);
-  }
-
   VoxelGrid3D* fluence = tally.fluence_grid();
   RadialTally* radial = tally.radial();
   std::optional<RadialTally::Scorer> scorer;
@@ -311,7 +302,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
 
   const std::uint64_t max_inter = config.max_interactions;
   const double roulette_threshold = config.roulette.threshold;
-  const double surv_mult = config.roulette.survival_multiplier;
 
   // Lane sub-streams: lane k = caller stream + k long_jump()s (2^192
   // apart). The caller is left advanced by exactly W long_jumps, so a
@@ -336,17 +326,13 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
   std::uint64_t occupancy[W + 1] = {};
 
   for (std::size_t k = 0; k < W; ++k) {
-    if (refill_lane(p, k, source, medium, afrac, tally, next_photon,
-                    photon_count, launched)) {
+    if (refill_lane(p, k, source, medium, tally, next_photon, photon_count,
+                    launched)) {
       ++active_count;
     } else {
-      park_lane(p, k, medium, afrac);
+      park_lane(p, k, medium);
     }
   }
-
-  // Exit/interaction radii are only read when something radial-ish is
-  // scoring; skip the batched sqrt entirely otherwise.
-  const bool need_radius = radial != nullptr || detector != nullptr;
 
   double u_step[W], u_evt[W], u_phi[W];
   double step_log[W];
@@ -388,10 +374,10 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       p.cross[i] = crossing ? 1u : 0u;
     }
 
-    // Batched exit/interaction radius (expression identical to
-    // util::fast_radius, evaluated in this TU either way): replaces up
-    // to W scalar sqrts in the per-lane section with two vector sqrts.
-    if (need_radius) {
+    // Batched interaction radius for the radial scorer (expression
+    // identical to util::fast_radius): two vector sqrts instead of up to
+    // W scalar ones.
+    if (scorer) {
       for (std::size_t i = 0; i < W; ++i) {
         radius[i] = std::sqrt(p.x[i] * p.x[i] + p.y[i] * p.y[i]);
       }
@@ -475,47 +461,26 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
         tally.add_lost(p.w[i]);
         dead = true;
       } else if (p.cross[i]) {
-        const std::size_t layer = p.layer[i];
+        std::size_t layer = p.layer[i];
         const bool down = p.uz[i] > 0.0;
-        const int d = down ? 1 : 0;
-        const double cos_i = std::abs(p.uz[i]);
-        if (cos_i >= kFresnelGrazeEps && cos_i <= medium.tir_cos(layer, d)) {
-          p.uz[i] = -p.uz[i];  // one-compare TIR, as in the scalar loop
-        } else {
-          const FresnelResult fr =
-              fresnel(p.ln[i], medium.neighbour_n(layer, d), cos_i);
-          if (fr.total_internal || u_evt[i] < fr.reflectance) {
-            p.uz[i] = -p.uz[i];
-          } else if (medium.exterior(layer, d)) {
-            const double wgt = p.w[i];
-            if (!down) {
-              tally.add_diffuse_reflectance(wgt);
-              if (radial) radial->score_reflectance(radius[i], wgt);
-              if (detector) {
-                const util::Vec3 exit{p.x[i], p.y[i], p.z[i]};
-                if (detector->accepts(exit, p.opl[i])) {
-                  tally.record_detection(wgt, p.opl[i], radius[i],
-                                         p.scat[i]);
-                }
-              }
-            } else {
-              tally.add_transmittance(wgt);
-              if (radial) radial->score_transmittance(radius[i], wgt);
-            }
-            dead = true;
+        util::Vec3 dir{p.ux[i], p.uy[i], p.uz[i]};
+        PredrawnUniform u{u_evt[i]};
+        const Crossing c = cross_interface(medium, layer, dir, p.w[i],
+                                           /*classical=*/false, u);
+        p.ux[i] = dir.x;
+        p.uy[i] = dir.y;
+        p.uz[i] = dir.z;
+        if (c.kind == Crossing::kRefracted) {
+          load_layer(p, i, medium, layer);
+        } else if (c.kind == Crossing::kEscaped) {
+          const util::Vec3 exit{p.x[i], p.y[i], p.z[i]};
+          if (down) {
+            score_exit_bottom(exit, c.escaped, tally, radial);
           } else {
-            // Refract into the adjacent layer (Snell preserves the scaled
-            // tangential direction).
-            const double scale = medium.n_ratio(layer, d);
-            const util::Vec3 dir =
-                util::Vec3{p.ux[i] * scale, p.uy[i] * scale,
-                           down ? fr.cos_transmit : -fr.cos_transmit}
-                    .normalized();
-            p.ux[i] = dir.x;
-            p.uy[i] = dir.y;
-            p.uz[i] = dir.z;
-            load_layer(p, i, medium, afrac, down ? layer + 1 : layer - 1);
+            score_exit_top(exit, p.opl[i], p.scat[i], c.escaped, detector,
+                           tally, radial);
           }
+          dead = true;
         }
       } else {
         // Interaction: scatter the precomputed deposit dw = W·µa/µt into
@@ -527,13 +492,8 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       }
 
       if (!dead && p.w[i] < roulette_threshold) {
-        const double before = p.w[i];
-        if (lane_uniform(p, i) * surv_mult < 1.0) {
-          const double after = before * surv_mult;
-          tally.add_roulette_gain(after - before);
-          p.w[i] = after;
-        } else {
-          tally.add_roulette_loss(before);
+        LaneRng lane{p, i};
+        if (!survive_roulette(p.w[i], config.roulette, tally, lane)) {
           dead = true;
           by_roulette = true;
         }
@@ -542,11 +502,11 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       if (dead) {
         tally.record_max_depth(p.maxd[i], 1.0);
         if (by_roulette) ++roulette_terms;
-        if (refill_lane(p, i, source, medium, afrac, tally, next_photon,
+        if (refill_lane(p, i, source, medium, tally, next_photon,
                         photon_count, launched)) {
           ++refills;
         } else {
-          park_lane(p, i, medium, afrac);
+          park_lane(p, i, medium);
           --active_count;
         }
       }

@@ -6,8 +6,6 @@
 
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace phodis::mc {
 
 struct RouletteSpec {
@@ -25,11 +23,11 @@ struct RouletteSpec {
   }
 };
 
-/// Play roulette on `weight`. Returns the post-roulette weight: either
-/// weight * m (survived) or 0 (terminated). Callers must treat a zero
-/// return as packet death.
-inline double play_roulette(double weight, const RouletteSpec& spec,
-                            util::Xoshiro256pp& rng) noexcept {
+/// Play roulette on `weight` with one rng.uniform() draw. Returns the
+/// post-roulette weight: either weight * m (survived) or 0 (terminated).
+/// Callers must treat a zero return as packet death.
+template <class Rng>
+double play_roulette(double weight, const RouletteSpec& spec, Rng& rng) {
   if (rng.uniform() * spec.survival_multiplier < 1.0) {
     return weight * spec.survival_multiplier;
   }

@@ -56,9 +56,7 @@ SimulationTally::SimulationTally(const TallyConfig& config)
 
 void SimulationTally::record_detection(double weight,
                                        double optical_pathlength_mm,
-                                       double exit_radius_mm,
                                        std::uint32_t scatter_events) noexcept {
-  (void)exit_radius_mm;  // kept in the signature for future radial tallies
   ++detected_count_;
   detected_weight_ += weight;
   detected_pathlength_weighted_ += weight * optical_pathlength_mm;

@@ -62,7 +62,6 @@ class SimulationTally {
   void add_roulette_gain(double w) noexcept { roulette_gain_ += w; }
   void add_roulette_loss(double w) noexcept { roulette_loss_ += w; }
   void record_detection(double weight, double optical_pathlength_mm,
-                        double exit_radius_mm,
                         std::uint32_t scatter_events) noexcept;
   void record_max_depth(double depth_mm, double weight) noexcept;
 

@@ -1,9 +1,12 @@
-// Tests for Fresnel boundary physics and Henyey–Greenstein scattering.
+// Tests for Fresnel boundary physics, the shared interface operators'
+// draw contract, and Henyey–Greenstein scattering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "mc/compiled_medium.hpp"
 #include "mc/fresnel.hpp"
+#include "mc/interface.hpp"
 #include "mc/scatter.hpp"
 #include "util/rng.hpp"
 
@@ -202,6 +205,143 @@ TEST(Hg, SampledDistributionMatchesPdf) {
   }
   // chi2 ~ dof +- sqrt(2 dof); accept within ~5 sigma.
   EXPECT_LT(chi2, dof + 5.0 * std::sqrt(2.0 * dof));
+}
+
+// ---------- interface operators: draw contract ------------------------------
+//
+// Both loops' golden hashes depend on exactly when cross_interface and
+// survive_roulette draw: never on total internal reflection (either test)
+// or a classical exterior split, exactly once everywhere else.
+
+/// Rng stub: returns a fixed value and counts the draws.
+struct CountingRng {
+  double value = 0.0;
+  int draws = 0;
+  double uniform() {
+    ++draws;
+    return value;
+  }
+};
+
+/// Layer 0 (n 1.4) over layer 1 (n 1.33), 1 mm each, air on both sides.
+CompiledMedium two_slab() {
+  return CompiledMedium(
+      LayeredMediumBuilder()
+          .add_layer("upper", OpticalProperties{0.1, 10.0, 0.9, 1.4}, 1.0)
+          .add_layer("lower", OpticalProperties{0.1, 10.0, 0.9, 1.33}, 1.0)
+          .build());
+}
+
+/// One cross_interface call from `layer` with direction cosine `uz` (and
+/// the tangential part along x); returns the outcome and the draw count.
+struct CrossCall {
+  Crossing crossing;
+  int draws;
+  std::size_t layer;
+  util::Vec3 dir;
+  double weight;
+};
+
+CrossCall cross(std::size_t layer, double uz, bool classical, double u) {
+  const CompiledMedium medium = two_slab();
+  CountingRng rng{u};
+  util::Vec3 dir{std::sqrt(1.0 - uz * uz), 0.0, uz};
+  double weight = 1.0;
+  const Crossing c =
+      cross_interface(medium, layer, dir, weight, classical, rng);
+  return {c, rng.draws, layer, dir, weight};
+}
+
+TEST(InterfaceDraws, OneCompareTirDrawsNothing) {
+  const double cos_i = 0.3;  // far beyond 1.4 -> 1.0 critical (cos ~0.70)
+  ASSERT_LE(cos_i, two_slab().tir_cos(0, 0));
+  for (const bool classical : {false, true}) {
+    const CrossCall c = cross(0, -cos_i, classical, 0.0);
+    EXPECT_EQ(c.draws, 0);
+    EXPECT_EQ(c.crossing.kind, Crossing::kReflected);
+    EXPECT_DOUBLE_EQ(c.dir.z, cos_i);
+  }
+}
+
+TEST(InterfaceDraws, FresnelTotalInternalDrawsNothing) {
+  // Inside the one-compare margin: only fresnel() can call this TIR.
+  const double cos_i = critical_cos(1.4, 1.0) - 0.5 * kTirCosMargin;
+  ASSERT_GT(cos_i, two_slab().tir_cos(0, 0));
+  ASSERT_TRUE(fresnel(1.4, 1.0, cos_i).total_internal);
+  for (const bool classical : {false, true}) {
+    const CrossCall c = cross(0, -cos_i, classical, 0.0);
+    EXPECT_EQ(c.draws, 0);
+    EXPECT_EQ(c.crossing.kind, Crossing::kReflected);
+  }
+}
+
+TEST(InterfaceDraws, ClassicalExteriorSplitDrawsNothing) {
+  const double r = specular_reflectance(1.4, 1.0);
+  for (const auto& [layer, uz] : {std::pair<std::size_t, double>{0, -1.0},
+                                  std::pair<std::size_t, double>{1, 1.0}}) {
+    const CrossCall c = cross(layer, uz, /*classical=*/true, 0.0);
+    EXPECT_EQ(c.draws, 0);
+    EXPECT_EQ(c.crossing.kind, Crossing::kSplit);
+    EXPECT_DOUBLE_EQ(c.dir.z, -uz);
+    EXPECT_NEAR(c.weight, layer == 0 ? r : specular_reflectance(1.33, 1.0),
+                1e-15);
+    EXPECT_DOUBLE_EQ(c.crossing.escaped + c.weight, 1.0);
+  }
+}
+
+TEST(InterfaceDraws, EveryOtherCrossingDrawsOnce) {
+  // u = 0 always reflects (R > 0 on every path here); u ~ 1 transmits
+  // unless R = 1 (the grazing case).
+  const double just_below_one = std::nextafter(1.0, 0.0);
+  struct Case {
+    std::size_t layer;
+    double uz;
+    bool classical;
+    double u;
+    Crossing::Kind kind;
+  };
+  const Case cases[] = {
+      {0, -1.0, false, 0.0, Crossing::kReflected},            // top, reflect
+      {0, -1.0, false, just_below_one, Crossing::kEscaped},   // top, escape
+      {1, 1.0, false, just_below_one, Crossing::kEscaped},    // bottom escape
+      {0, 0.8, false, 0.0, Crossing::kReflected},             // interior
+      {0, 0.8, false, just_below_one, Crossing::kRefracted},  // interior
+      {0, 0.8, true, 0.0, Crossing::kReflected},              // classical
+      {1, -0.8, true, just_below_one, Crossing::kRefracted},  // interior
+      {0, 1e-13, false, just_below_one, Crossing::kReflected},  // grazing
+  };
+  for (const Case& k : cases) {
+    const CrossCall c = cross(k.layer, k.uz, k.classical, k.u);
+    EXPECT_EQ(c.draws, 1) << "layer " << k.layer << " uz " << k.uz;
+    EXPECT_EQ(c.crossing.kind, k.kind) << "layer " << k.layer << " uz "
+                                       << k.uz;
+    if (k.kind == Crossing::kEscaped) {
+      EXPECT_DOUBLE_EQ(c.crossing.escaped, 1.0);
+    }
+    if (k.kind == Crossing::kRefracted) {
+      EXPECT_EQ(c.layer, k.uz > 0.0 ? k.layer + 1 : k.layer - 1);
+      EXPECT_NEAR(c.dir.norm(), 1.0, 1e-12);
+    }
+  }
+}
+
+TEST(InterfaceDraws, SurviveRouletteDrawsOnce) {
+  TallyConfig config;
+  SimulationTally tally(config);
+  const RouletteSpec spec;  // survive iff u * 10 < 1
+  struct Case {
+    double weight;
+    double u;
+    bool survives;
+  };
+  for (const Case& k : {Case{1e-5, 0.05, true}, Case{1e-5, 0.5, false},
+                        Case{0.0, 0.05, false}}) {
+    CountingRng rng{k.u};
+    double weight = k.weight;
+    EXPECT_EQ(survive_roulette(weight, spec, tally, rng), k.survives);
+    EXPECT_EQ(rng.draws, 1);
+    EXPECT_DOUBLE_EQ(weight, k.survives ? k.weight * 10.0 : k.weight);
+  }
 }
 
 // ---------- deflect ----------------------------------------------------------

@@ -224,8 +224,8 @@ TEST(Tally, ConservationLedgerDetectsImbalance) {
 TEST(Tally, DetectionStatistics) {
   SimulationTally tally(tally_config());
   tally.count_launch();
-  tally.record_detection(0.5, 100.0, 30.0, 10);
-  tally.record_detection(0.25, 200.0, 30.0, 20);
+  tally.record_detection(0.5, 100.0, 10);
+  tally.record_detection(0.25, 200.0, 20);
   EXPECT_EQ(tally.photons_detected(), 2u);
   EXPECT_DOUBLE_EQ(tally.total_detected_weight(), 0.75);
   // Weighted mean: (0.5*100 + 0.25*200)/0.75
@@ -242,8 +242,8 @@ TEST(Tally, MergeAccumulatesEverything) {
   b.count_launch();
   a.add_diffuse_reflectance(0.5);
   b.add_diffuse_reflectance(0.25);
-  a.record_detection(0.5, 100.0, 30.0, 5);
-  b.record_detection(0.25, 300.0, 30.0, 9);
+  a.record_detection(0.5, 100.0, 5);
+  b.record_detection(0.25, 300.0, 9);
   a.fluence_grid()->deposit({0, 0, 1}, 1.0);
   b.fluence_grid()->deposit({0, 0, 1}, 2.0);
   b.path_grid()->deposit({1, 1, 1}, 4.0);
@@ -276,7 +276,7 @@ TEST(Tally, SerializeRoundTripScalarsOnly) {
   tally.add_absorption(1, 0.7);
   tally.add_roulette_gain(0.01);
   tally.add_roulette_loss(0.02);
-  tally.record_detection(0.4, 120.0, 30.0, 7);
+  tally.record_detection(0.4, 120.0, 7);
   tally.record_max_depth(5.0, 1.0);
 
   util::ByteWriter w;

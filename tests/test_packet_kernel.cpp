@@ -251,6 +251,35 @@ TEST(PacketKernel, RouletteSurvivorsAndTerminationsBalance) {
   EXPECT_NEAR(total, 1.0, 1e-3);
 }
 
+TEST(PacketKernel, ZeroWeightLanesAreNeverDetected) {
+  // In a pure absorber every interaction deposits the whole weight, and
+  // roulette must then end the empty packet in both loops. A zero-weight
+  // survivor would fly on and be counted by this full-surface detector;
+  // only packets that never interact (Fresnel echo off the bottom face)
+  // may reach it.
+  mc::KernelConfig config;
+  config.medium =
+      mc::LayeredMediumBuilder()
+          .ambient_above(1.0)
+          .ambient_below(1.0)
+          .add_layer("absorber",
+                     mc::OpticalProperties{/*mua=*/0.5, /*mus=*/0.0,
+                                           /*g=*/0.0, /*n=*/1.4},
+                     4.0)
+          .build();
+  mc::DetectorSpec detector;
+  detector.separation_mm = 0.0;
+  detector.radius_mm = 1000.0;
+  config.detector = detector;
+  const double scalar =
+      static_cast<double>(run_tally(config, 100'000, 3).photons_detected());
+  config.mode = mc::KernelMode::kPacket;
+  const double packet =
+      static_cast<double>(run_tally(config, 100'000, 3).photons_detected());
+  EXPECT_LE(std::abs(packet - scalar), 6.0 * std::sqrt(packet + scalar))
+      << "packet " << packet << " vs scalar " << scalar;
+}
+
 // --- configuration gate -----------------------------------------------------
 
 TEST(PacketKernel, ValidateRejectsUnsupportedConfigurations) {
