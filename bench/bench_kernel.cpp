@@ -8,6 +8,9 @@
 //                       headline preset: no real run scores nothing.
 //  * two_layer_bare   — the same phantom with scalar totals only: the
 //                       pure transport loop, no per-interaction scoring.
+//  * two_layer_grid   — two_layer plus the default 50^3 fluence grid
+//                       (the paper's Fig. 3/4 output granularity). Not
+//                       in the committed baseline, so --check skips it.
 //  * white_matter     — homogeneous semi-infinite white matter (Fig. 3).
 //  * head_model       — the five-layer adult head of Table 1 (Fig. 4).
 //  * two_layer_mt<N>  — with --threads N: one task's shard plan through
@@ -30,6 +33,11 @@
 //   --metrics-json PATH               dump the obs registry (plus any
 //                                     compile-gated kernel counters)
 //   --trace PATH                      Chrome trace-event spans (Perfetto)
+//
+// Per mode, a "scoring overhead" line follows the table: two_layer and
+// two_layer_grid run time over two_layer_bare's (best-of-reps). Scoring
+// never draws randomness, so all three presets trace the same photons
+// and the ratio is the cost of the tallies alone. Report only.
 //
 // Numbers are comparable only within one machine; see bench_report.hpp
 // for the fixed-work/warm-up/best-of-reps protocol that makes them stable
@@ -60,6 +68,15 @@ mc::Kernel two_layer_radial_kernel(mc::KernelMode mode) {
   mc::KernelConfig config;
   config.medium = mc::two_layer_model();
   config.tally.enable_radial = true;
+  config.mode = mode;
+  return mc::Kernel(std::move(config));
+}
+
+mc::Kernel two_layer_grid_kernel(mc::KernelMode mode) {
+  mc::KernelConfig config;
+  config.medium = mc::two_layer_model();
+  config.tally.enable_radial = true;
+  config.tally.enable_fluence_grid = true;  // default GridSpec: 50^3
   config.mode = mode;
   return mc::Kernel(std::move(config));
 }
@@ -134,6 +151,7 @@ int main(int argc, char** argv) {
     } presets[] = {
         {"two_layer", two_layer_radial_kernel(mode)},
         {"two_layer_bare", bare_kernel(mc::two_layer_model(), mode)},
+        {"two_layer_grid", two_layer_grid_kernel(mode)},
         {"white_matter", bare_kernel(mc::homogeneous_white_matter(), mode)},
         {"head_model", bare_kernel(mc::adult_head_model(), mode)},
     };
@@ -145,6 +163,18 @@ int main(int argc, char** argv) {
                   r.name.c_str(), r.mode.c_str(), r.best_pps, r.median_pps);
       report.presets.push_back(std::move(r));
     }
+    const auto best_pps = [&](const std::string& name) {
+      for (const bench::PresetResult& r : report.presets) {
+        if (r.name == name && r.mode == mode_name) return r.best_pps;
+      }
+      return 0.0;
+    };
+    const double bare_pps = best_pps("two_layer_bare");
+    std::printf(
+        "  scoring overhead %-7s two_layer %.2fx, two_layer_grid %.2fx "
+        "(time / two_layer_bare, same photons)\n",
+        mode_name.c_str(), bare_pps / best_pps("two_layer"),
+        bare_pps / best_pps("two_layer_grid"));
 
     if (const auto threads = args.get_int("threads", 0); threads > 1) {
       const std::string name = "two_layer_mt" + std::to_string(threads);

@@ -250,12 +250,28 @@ WorkerLoopOutcome run_worker_loop(Transport& transport,
            (!options.keep_running || options.keep_running());
   };
 
+  // A reply that missed reply_timeout_ms can still arrive after the
+  // request was re-sent. Taking it before asking again keeps the worker at
+  // one outstanding request; otherwise the second request earns a second
+  // lease and every later task waits behind one queued AssignTask for the
+  // rest of the run. A queued NoWork answered an older request, so it is
+  // dropped and the fresh request asks again.
+  const auto take_queued_reply = [&]() -> std::optional<Message> {
+    while (auto queued = transport.try_receive(name)) {
+      if (queued->type != MessageType::kNoWork) return queued;
+    }
+    return std::nullopt;
+  };
+
   while (alive()) {
-    Message request;
-    request.type = MessageType::kRequestWork;
-    request.sender = name;
-    transport.send(options.server_endpoint, request);
-    const auto reply = transport.receive(name, options.reply_timeout_ms);
+    std::optional<Message> reply = take_queued_reply();
+    if (!reply) {
+      Message request;
+      request.type = MessageType::kRequestWork;
+      request.sender = name;
+      transport.send(options.server_endpoint, request);
+      reply = transport.receive(name, options.reply_timeout_ms);
+    }
     if (!reply) {
       reply_timeouts.inc();
       continue;  // lost frame, timeout, or transport shutdown

@@ -1,6 +1,7 @@
 #include "mc/grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace phodis::mc {
 
@@ -8,10 +9,14 @@ void GridSpec::validate() const {
   if (!(x_max > x_min && y_max > y_min && z_max > z_min)) {
     throw std::invalid_argument("GridSpec: max must exceed min on every axis");
   }
+  if (!std::isfinite(x_max - x_min) || !std::isfinite(y_max - y_min) ||
+      !std::isfinite(z_max - z_min)) {
+    throw std::invalid_argument("GridSpec: extents must be finite");
+  }
   if (nx == 0 || ny == 0 || nz == 0) {
     throw std::invalid_argument("GridSpec: need >= 1 voxel per axis");
   }
-  if (voxel_count() > (std::size_t{1} << 31)) {
+  if (!flat_bins_fit(nx, ny, nz)) {
     throw std::invalid_argument("GridSpec: grid too large");
   }
 }
@@ -62,25 +67,21 @@ GridSpec GridSpec::cube(std::size_t n, double half_width_mm, double depth_mm) {
   return spec;
 }
 
-VoxelGrid3D::VoxelGrid3D(const GridSpec& spec)
-    : spec_(spec), data_(spec.voxel_count(), 0.0) {
-  spec_.validate();
-  inv_dx_ = static_cast<double>(spec_.nx) / (spec_.x_max - spec_.x_min);
-  inv_dy_ = static_cast<double>(spec_.ny) / (spec_.y_max - spec_.y_min);
-  inv_dz_ = static_cast<double>(spec_.nz) / (spec_.z_max - spec_.z_min);
+VoxelGrid3D::VoxelGrid3D(const GridSpec& spec) : spec_(spec) {
+  spec_.validate();  // before sizing the buffer from the voxel counts
+  data_.assign(spec_.voxel_count(), 0.0);
+  x_axis_ = BinAxis(spec_.x_min, spec_.x_max, spec_.nx);
+  y_axis_ = BinAxis(spec_.y_min, spec_.y_max, spec_.ny);
+  z_axis_ = BinAxis(spec_.z_min, spec_.z_max, spec_.nz);
+  nx_ = static_cast<double>(spec_.nx);
+  ny_ = static_cast<double>(spec_.ny);
 }
 
 std::optional<std::size_t> VoxelGrid3D::index_of(
     const util::Vec3& pos) const noexcept {
-  const double fx = (pos.x - spec_.x_min) * inv_dx_;
-  const double fy = (pos.y - spec_.y_min) * inv_dy_;
-  const double fz = (pos.z - spec_.z_min) * inv_dz_;
-  if (fx < 0.0 || fy < 0.0 || fz < 0.0) return std::nullopt;
-  const auto ix = static_cast<std::size_t>(fx);
-  const auto iy = static_cast<std::size_t>(fy);
-  const auto iz = static_cast<std::size_t>(fz);
-  if (ix >= spec_.nx || iy >= spec_.ny || iz >= spec_.nz) return std::nullopt;
-  return (iz * spec_.ny + iy) * spec_.nx + ix;
+  const double flat = flat_bin(pos.x, pos.y, pos.z);
+  if (flat < 0.0) return std::nullopt;
+  return static_cast<std::size_t>(flat);
 }
 
 void VoxelGrid3D::deposit(const util::Vec3& pos, double weight) noexcept {

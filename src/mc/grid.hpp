@@ -11,12 +11,14 @@
 // Fig. 3 uses 50^3.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "mc/binning.hpp"
 #include "util/bytes.hpp"
 #include "util/vec3.hpp"
 
@@ -56,6 +58,29 @@ class VoxelGrid3D {
   void deposit(const util::Vec3& pos, double weight) noexcept;
   void deposit_index(std::size_t flat_index, double weight) noexcept;
 
+  /// deposit() for N points at once (the packet kernel's lanes): lanes
+  /// with mask[i] == 0 are no-ops, masked-in lanes land exactly where
+  /// deposit() would put them, and accumulation runs in lane order, so
+  /// the grid matches N sequential deposit() calls bitwise. The binning
+  /// loop vectorizes in the caller's TU; only the scatter stays scalar
+  /// (lanes may share a voxel).
+  template <std::size_t N>
+  void deposit_lanes(const double* x, const double* y, const double* z,
+                     const double* weight,
+                     const std::uint64_t* mask) noexcept {
+    std::uint64_t in[N];
+    std::uint64_t idx[N];
+    for (std::size_t i = 0; i < N; ++i) {
+      const double flat = flat_bin(x[i], y[i], z[i]);
+      in[i] = static_cast<std::uint64_t>(flat >= 0.0) & mask[i];
+      idx[i] = lane_index(flat >= 0.0 ? flat : 0.0);
+    }
+    double* const data = data_.data();
+    for (std::size_t i = 0; i < N; ++i) {
+      if (in[i]) data[idx[i]] += weight[i];
+    }
+  }
+
   double at(std::size_t ix, std::size_t iy, std::size_t iz) const;
   double at_flat(std::size_t flat) const { return data_.at(flat); }
 
@@ -72,8 +97,19 @@ class VoxelGrid3D {
   util::Vec3 voxel_center(std::size_t flat) const noexcept;
 
  private:
+  /// Flat index of the voxel holding (x, y, z) as an integral double, or
+  /// -1 when outside: the one binning rule of index_of and deposit_lanes.
+  double flat_bin(double x, double y, double z) const noexcept {
+    const double bx = x_axis_.bin(x);
+    const double by = y_axis_.bin(y);
+    const double bz = z_axis_.bin(z);
+    const double flat = (bz * ny_ + by) * nx_ + bx;
+    return std::min(std::min(bx, by), bz) >= 0.0 ? flat : -1.0;
+  }
+
   GridSpec spec_;
-  double inv_dx_, inv_dy_, inv_dz_;
+  BinAxis x_axis_, y_axis_, z_axis_;
+  double nx_ = 0.0, ny_ = 0.0;  ///< voxel counts as doubles (flat_bin)
   std::vector<double> data_;
 };
 

@@ -10,10 +10,15 @@
 //      advance positions, pathlengths, depths          [vector]
 //   3. HG cosine + azimuth rotation from (u_evt,
 //      u_phi), applied to interaction lanes only       [vector, vmath]
-//   4. per lane: the shared mc/interface.hpp operators
+//   4. event accounting, deposit dw = W·µa/µt and
+//      weight update on interaction lanes               [vector]
+//   5. grid tallies (radial A(r,z), fluence), only when
+//      on: bin every lane, then scatter the interaction
+//      lanes' deposits in lane order                    [vector, scalar]
+//   6. per lane: the shared mc/interface.hpp operators
 //      (cross_interface with u_evt, score_exit_*,
-//      survive_roulette), absorption deposits,
-//      death + refill from the photon stream           [scalar]
+//      survive_roulette), layer absorption totals,
+//      death + refill from the photon stream            [scalar]
 //
 // Every lane consumes the same three draws per iteration from its own
 // sub-stream whether its event is an interaction (uses all three) or a
@@ -196,6 +201,28 @@ __attribute__((noinline)) void lanes_hg_cosine(
   }
 }
 
+/// Step 5: every interaction lane's deposit dw scored into the radial
+/// A(r,z) bins and the fluence grid. The lane scorers bin all W lanes
+/// in one vectorized loop (mc/binning.hpp) and accumulate in lane order,
+/// so each bin sees the same deposits in the same order as one scalar
+/// call per lane would give it. Out of line so the transport loop's code
+/// does not depend on which tallies exist: that loop's speed shifts by
+/// several percent with its code layout alone (measured on no-tally
+/// runs), which would make every scoring change a bare-loop change too.
+__attribute__((noinline)) void score_grids(
+    const PacketState& p, const double* dw, const std::uint64_t* interact,
+    const RadialTally::Scorer* scorer, VoxelGrid3D* fluence) noexcept {
+  if (scorer) {
+    // Expression identical to util::fast_radius, over all lanes at once.
+    double radius[W];
+    for (std::size_t i = 0; i < W; ++i) {
+      radius[i] = std::sqrt(p.x[i] * p.x[i] + p.y[i] * p.y[i]);
+    }
+    scorer->absorption_lanes<W>(radius, p.z, dw, interact);
+  }
+  if (fluence) fluence->deposit_lanes<W>(p.x, p.y, p.z, dw, interact);
+}
+
 inline void load_layer(PacketState& p, std::size_t i,
                        const CompiledMedium& medium,
                        std::size_t layer) noexcept {
@@ -338,7 +365,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
   double step_log[W];
   double sphi[W], cphi[W];
   double hg_ct[W], hg_st[W];
-  double radius[W];
   double dw[W];
   std::uint64_t alive_evt[W];
   std::uint64_t interact[W];
@@ -372,15 +398,6 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       rem = rem < 0.0 ? 0.0 : rem;
       p.s_left[i] = crossing ? rem : 0.0;
       p.cross[i] = crossing ? 1u : 0u;
-    }
-
-    // Batched interaction radius for the radial scorer (expression
-    // identical to util::fast_radius): two vector sqrts instead of up to
-    // W scalar ones.
-    if (scorer) {
-      for (std::size_t i = 0; i < W; ++i) {
-        radius[i] = std::sqrt(p.x[i] * p.x[i] + p.y[i] * p.y[i]);
-      }
     }
 
     // --- 3. scattering rotation, computed for all lanes, applied to
@@ -422,9 +439,10 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       p.uz[i] = scatter ? nz : zo;
     }
 
-    // Batched event accounting + deposit arithmetic. Lanes that blow the
-    // max_interactions budget this event die with their weight intact —
-    // they must not deposit — so the deposit mask carries alive_evt.
+    // --- 4. event accounting + deposit arithmetic, all lanes ------------
+    // Lanes that blow the max_interactions budget this event die with
+    // their weight intact — they must not deposit — so the deposit mask
+    // carries alive_evt.
     for (std::size_t i = 0; i < W; ++i) {
       p.inter[i] += p.active[i];
     }
@@ -442,16 +460,12 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
     for (std::size_t i = 0; i < W; ++i) {
       p.scat[i] += static_cast<std::uint32_t>(interact[i]);
     }
-    // Radial A(r,z) scoring for the interaction lanes, batched so the
-    // bounds checks and bin indices vectorize instead of riding the
-    // branchy per-lane loop below. Bins accumulate in lane order, the
-    // same order the per-lane calls used, so packet goldens are
-    // unaffected.
-    if (scorer) {
-      scorer->absorption_lanes<W>(radius, p.z, dw, interact);
+    // --- 5. grid tallies --------------------------------------------------
+    if (scorer || fluence) {
+      score_grids(p, dw, interact, scorer ? &*scorer : nullptr, fluence);
     }
 
-    // --- 4. per-lane physics, tallies, death and refill ------------------
+    // --- 6. per-lane physics, tallies, death and refill ------------------
     for (std::size_t i = 0; i < W; ++i) {
       if (!p.active[i]) continue;
       bool dead = false;
@@ -483,12 +497,9 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
           dead = true;
         }
       } else {
-        // Interaction: scatter the precomputed deposit dw = W·µa/µt into
-        // the tally bins (weight, scatter count, and the radial A(r,z)
-        // bins already updated in the batched section; direction already
-        // rotated above).
+        // Interaction: weight, scatter count, direction and grid scores
+        // are already done above; only the layer total remains.
         tally.add_absorption(p.layer[i], dw[i]);
-        if (fluence) fluence->deposit({p.x[i], p.y[i], p.z[i]}, dw[i]);
       }
 
       if (!dead && p.w[i] < roulette_threshold) {

@@ -10,8 +10,14 @@ void RadialSpec::validate() const {
   if (!(r_max_mm > 0.0) || !(z_max_mm > 0.0)) {
     throw std::invalid_argument("RadialSpec: extents must be > 0");
   }
+  if (!std::isfinite(r_max_mm) || !std::isfinite(z_max_mm)) {
+    throw std::invalid_argument("RadialSpec: extents must be finite");
+  }
   if (nr == 0 || nz == 0) {
     throw std::invalid_argument("RadialSpec: need >= 1 bin per axis");
+  }
+  if (!flat_bins_fit(nr, nz)) {
+    throw std::invalid_argument("RadialSpec: tally too large");
   }
 }
 
@@ -32,14 +38,13 @@ RadialSpec RadialSpec::deserialize(util::ByteReader& reader) {
   return spec;
 }
 
-RadialTally::RadialTally(const RadialSpec& spec)
-    : spec_(spec),
-      rd_(spec.nr, 0.0),
-      tt_(spec.nr, 0.0),
-      arz_(spec.nr * spec.nz, 0.0) {
-  spec_.validate();
-  inv_dr_ = static_cast<double>(spec_.nr) / spec_.r_max_mm;
-  inv_dz_ = static_cast<double>(spec_.nz) / spec_.z_max_mm;
+RadialTally::RadialTally(const RadialSpec& spec) : spec_(spec) {
+  spec_.validate();  // before sizing the bins from the counts
+  rd_.assign(spec_.nr, 0.0);
+  tt_.assign(spec_.nr, 0.0);
+  arz_.assign(spec_.nr * spec_.nz, 0.0);
+  r_axis_ = BinAxis(0.0, spec_.r_max_mm, spec_.nr);
+  z_axis_ = BinAxis(0.0, spec_.z_max_mm, spec_.nz);
 }
 
 double RadialTally::reflectance_weight(std::size_t ir) const {
@@ -56,22 +61,22 @@ double RadialTally::absorption_weight(std::size_t ir, std::size_t iz) const {
 }
 
 double RadialTally::r_center(std::size_t ir) const noexcept {
-  return (static_cast<double>(ir) + 0.5) / inv_dr_;
+  return (static_cast<double>(ir) + 0.5) / r_axis_.inv_width();
 }
 
 double RadialTally::z_center(std::size_t iz) const noexcept {
-  return (static_cast<double>(iz) + 0.5) / inv_dz_;
+  return (static_cast<double>(iz) + 0.5) / z_axis_.inv_width();
 }
 
 double RadialTally::annulus_area_mm2(std::size_t ir) const noexcept {
-  const double dr = 1.0 / inv_dr_;
+  const double dr = 1.0 / r_axis_.inv_width();
   const double r_lo = static_cast<double>(ir) * dr;
   const double r_hi = r_lo + dr;
   return std::numbers::pi * (r_hi * r_hi - r_lo * r_lo);
 }
 
 double RadialTally::ring_volume_mm3(std::size_t ir) const noexcept {
-  return annulus_area_mm2(ir) / inv_dz_;
+  return annulus_area_mm2(ir) / z_axis_.inv_width();
 }
 
 double RadialTally::reflectance_per_area(

@@ -9,9 +9,12 @@
 // absorption density A(r, z).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "mc/binning.hpp"
 #include "util/bytes.hpp"
 
 namespace phodis::mc {
@@ -45,11 +48,9 @@ class RadialTally {
   class Scorer {
    public:
     explicit Scorer(RadialTally& tally) noexcept
-        : r_max_(tally.spec_.r_max_mm),
-          z_max_(tally.spec_.z_max_mm),
-          inv_dr_(tally.inv_dr_),
-          inv_dz_(tally.inv_dz_),
-          nr_(tally.spec_.nr),
+        : r_axis_(tally.r_axis_),
+          z_axis_(tally.z_axis_),
+          nr_(static_cast<double>(tally.spec_.nr)),
           rd_(tally.rd_.data()),
           tt_(tally.tt_.data()),
           arz_(tally.arz_.data()),
@@ -58,60 +59,50 @@ class RadialTally {
           a_overflow_(&tally.a_overflow_) {}
 
     void reflectance(double r_mm, double weight) const noexcept {
-      if (r_mm >= r_max_ || r_mm < 0.0) {
+      const double ir = r_axis_.bin(r_mm);
+      if (ir < 0.0) {
         *rd_overflow_ += weight;
         return;
       }
-      rd_[static_cast<std::size_t>(r_mm * inv_dr_)] += weight;
+      rd_[static_cast<std::size_t>(ir)] += weight;
     }
     void transmittance(double r_mm, double weight) const noexcept {
-      if (r_mm >= r_max_ || r_mm < 0.0) {
+      const double ir = r_axis_.bin(r_mm);
+      if (ir < 0.0) {
         *tt_overflow_ += weight;
         return;
       }
-      tt_[static_cast<std::size_t>(r_mm * inv_dr_)] += weight;
+      tt_[static_cast<std::size_t>(ir)] += weight;
     }
     void absorption(double r_mm, double z_mm, double weight) const noexcept {
-      if (r_mm >= r_max_ || r_mm < 0.0 || z_mm < 0.0 || z_mm >= z_max_) {
+      const double flat = arz_bin(r_mm, z_mm);
+      if (flat < 0.0) {
         *a_overflow_ += weight;
         return;
       }
-      const std::size_t iz = static_cast<std::size_t>(z_mm * inv_dz_);
-      arz_[iz * nr_ + static_cast<std::size_t>(r_mm * inv_dr_)] += weight;
+      arz_[static_cast<std::size_t>(flat)] += weight;
     }
     /// Batched absorption() over N lanes for the packet kernel: lanes
     /// with mask[i] == 0 are no-ops; masked-in lanes follow absorption()
-    /// exactly (same truncation, same overflow routing, same per-bin
-    /// accumulation order as N sequential calls). The bounds tests and
-    /// bin arithmetic auto-vectorize in the caller's TU; only the
-    /// accumulates stay scalar (lanes may collide on a bin). Out-of-range
-    /// coordinates are replaced by 0.0 before the int conversion so
-    /// masked-out garbage (parked lanes) never hits the UB of an
-    /// out-of-range float-to-int cast.
+    /// exactly (same bin rule, same overflow routing, same per-bin
+    /// accumulation order as N sequential calls). The binning loop is
+    /// 8-byte arithmetic only (see mc/binning.hpp), so it vectorizes in
+    /// the caller's TU; only the accumulates stay scalar (lanes may
+    /// collide on a bin).
     template <std::size_t N>
     void absorption_lanes(const double* r_mm, const double* z_mm,
                           const double* weight,
                           const std::uint64_t* mask) const noexcept {
       std::uint64_t in[N];
-      std::int32_t ir[N];
-      std::int32_t iz[N];
+      std::uint64_t idx[N];
       for (std::size_t i = 0; i < N; ++i) {
-        const std::uint64_t ok =
-            static_cast<std::uint64_t>(r_mm[i] < r_max_) &
-            static_cast<std::uint64_t>(r_mm[i] >= 0.0) &
-            static_cast<std::uint64_t>(z_mm[i] >= 0.0) &
-            static_cast<std::uint64_t>(z_mm[i] < z_max_) &
-            mask[i];
-        in[i] = ok;
-        const double r_safe = ok ? r_mm[i] : 0.0;
-        const double z_safe = ok ? z_mm[i] : 0.0;
-        ir[i] = static_cast<std::int32_t>(r_safe * inv_dr_);
-        iz[i] = static_cast<std::int32_t>(z_safe * inv_dz_);
+        const double flat = arz_bin(r_mm[i], z_mm[i]);
+        in[i] = static_cast<std::uint64_t>(flat >= 0.0) & mask[i];
+        idx[i] = lane_index(flat >= 0.0 ? flat : 0.0);
       }
       for (std::size_t i = 0; i < N; ++i) {
         if (in[i]) {
-          arz_[static_cast<std::size_t>(iz[i]) * nr_ +
-               static_cast<std::size_t>(ir[i])] += weight[i];
+          arz_[idx[i]] += weight[i];
         } else if (mask[i]) {
           *a_overflow_ += weight[i];
         }
@@ -119,8 +110,17 @@ class RadialTally {
     }
 
    private:
-    double r_max_, z_max_, inv_dr_, inv_dz_;
-    std::size_t nr_;
+    /// Flat A(r,z) bin (r fastest) as an integral double, or -1 when
+    /// (r, z) is outside the tally: the rule of absorption() and
+    /// absorption_lanes().
+    double arz_bin(double r_mm, double z_mm) const noexcept {
+      const double ir = r_axis_.bin(r_mm);
+      const double iz = z_axis_.bin(z_mm);
+      return std::min(ir, iz) >= 0.0 ? iz * nr_ + ir : -1.0;
+    }
+
+    BinAxis r_axis_, z_axis_;
+    double nr_;
     double* rd_;
     double* tt_;
     double* arz_;
@@ -182,10 +182,9 @@ class RadialTally {
   static RadialTally deserialize(util::ByteReader& reader);
 
  private:
-
   RadialSpec spec_;
-  double inv_dr_ = 0.0;
-  double inv_dz_ = 0.0;
+  BinAxis r_axis_;  ///< [0, r_max) in nr bins
+  BinAxis z_axis_;  ///< [0, z_max) in nz bins
   std::vector<double> rd_;   // nr
   std::vector<double> tt_;   // nr
   std::vector<double> arz_;  // nr * nz, r fastest

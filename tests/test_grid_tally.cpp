@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "mc/grid.hpp"
 #include "mc/tally.hpp"
@@ -31,6 +34,26 @@ TEST(GridSpec, ValidatesExtents) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = small_grid();
   spec.nz = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(GridSpec, RejectsInfiniteExtents) {
+  // An infinite span makes the bin width infinite: every point would
+  // bin into the first voxel.
+  GridSpec spec = small_grid();
+  spec.x_max = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_grid();
+  spec.z_min = -1e308;
+  spec.z_max = 1e308;  // both finite, but the span overflows
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(GridSpec, RejectsVoxelCountsPastTheIndexLimit) {
+  GridSpec spec = small_grid();
+  spec.nx = spec.ny = 1u << 16;  // 2^32 voxels: over the 2^31 cap
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.nx = spec.ny = spec.nz = std::size_t{1} << 22;  // wraps to 0
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
@@ -70,6 +93,95 @@ TEST(VoxelGrid, IndexOfMapsPositions) {
   EXPECT_FALSE(grid.index_of({0, 5.0, 5}).has_value());  // hi edge exclusive
   EXPECT_FALSE(grid.index_of({0, 0, -0.1}).has_value());
   EXPECT_FALSE(grid.index_of({0, 0, 10.0}).has_value());
+}
+
+// A grid whose n / (max - min) ratios are inexact: on every axis the
+// largest coordinate below the max scales to exactly n.
+GridSpec inexact_grid() {
+  GridSpec spec;
+  spec.x_min = -0.3;
+  spec.x_max = 0.6;
+  spec.y_min = 0.0;
+  spec.y_max = 0.9;
+  spec.z_min = 0.3;
+  spec.z_max = 2.0;
+  spec.nx = 3;
+  spec.ny = 2;
+  spec.nz = 7;
+  return spec;
+}
+
+/// Coordinates that probe one axis's bin rule: every voxel edge, one ulp
+/// either side of each end, negatives, signed zero, infinities and NaN.
+std::vector<double> axis_probes(double lo, double hi, std::size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> v;
+  for (std::size_t k = 0; k <= n; ++k) {
+    v.push_back(lo + (hi - lo) * static_cast<double>(k) /
+                         static_cast<double>(n));
+  }
+  v.insert(v.end(), {std::nextafter(lo, -kInf), std::nextafter(lo, kInf),
+                     std::nextafter(hi, -kInf), std::nextafter(hi, kInf),
+                     -3.0, -0.0, kInf, -kInf,
+                     std::numeric_limits<double>::quiet_NaN()});
+  return v;
+}
+
+TEST(VoxelGrid, PointOneUlpBelowEveryMaxLandsInLastVoxel) {
+  const GridSpec spec = inexact_grid();
+  VoxelGrid3D grid(spec);
+  const util::Vec3 corner{std::nextafter(spec.x_max, 0.0),
+                          std::nextafter(spec.y_max, 0.0),
+                          std::nextafter(spec.z_max, 0.0)};
+  ASSERT_EQ((corner.z - spec.z_min) * (7.0 / (spec.z_max - spec.z_min)), 7.0);
+  const auto idx = grid.index_of(corner);
+  ASSERT_TRUE(idx.has_value());
+  EXPECT_EQ(*idx, spec.voxel_count() - 1);
+  EXPECT_FALSE(grid.index_of({spec.x_max, 0.1, 1.0}).has_value());
+}
+
+TEST(VoxelGrid, LaneDepositsMatchScalarBinning) {
+  // Every probe point goes through deposit_lanes<8> and through
+  // index_of. Lane i carries weight 2^i, so each voxel's sum names
+  // exactly which lanes landed in it; masked-out lanes (including a
+  // parked lane's in-grid position) carry weight too and must not land.
+  const GridSpec spec = inexact_grid();
+  std::vector<util::Vec3> points;
+  for (double x : axis_probes(spec.x_min, spec.x_max, spec.nx)) {
+    for (double y : axis_probes(spec.y_min, spec.y_max, spec.ny)) {
+      for (double z : axis_probes(spec.z_min, spec.z_max, spec.nz)) {
+        points.push_back({x, y, z});
+      }
+    }
+  }
+  constexpr std::size_t kLanes = 8;
+  std::size_t landed = 0;
+  for (std::size_t base = 0; base < points.size(); base += kLanes) {
+    double x[kLanes], y[kLanes], z[kLanes], w[kLanes];
+    std::uint64_t mask[kLanes];
+    VoxelGrid3D lanes(spec);
+    VoxelGrid3D scalar(spec);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const util::Vec3 pt = base + i < points.size()
+                                ? points[base + i]
+                                : util::Vec3{0.0, 0.0, spec.z_max};
+      x[i] = pt.x;
+      y[i] = pt.y;
+      z[i] = pt.z;
+      w[i] = std::ldexp(1.0, static_cast<int>(i));
+      mask[i] = (base / kLanes + i) % 3 != 0 && base + i < points.size();
+      if (mask[i]) {
+        const auto idx = scalar.index_of(pt);
+        if (idx) {
+          scalar.deposit_index(*idx, w[i]);
+          ++landed;
+        }
+      }
+    }
+    lanes.deposit_lanes<kLanes>(x, y, z, w, mask);
+    ASSERT_EQ(lanes.data(), scalar.data()) << "batch at point " << base;
+  }
+  EXPECT_GT(landed, 100u);  // the probes really hit the grid
 }
 
 TEST(VoxelGrid, DepositAndReadBack) {

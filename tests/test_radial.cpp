@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "analysis/diffusion.hpp"
 #include "dist/datamanager.hpp"
@@ -63,6 +67,110 @@ TEST(RadialTally, AbsorptionBinsAndOverflow) {
   EXPECT_DOUBLE_EQ(tally.absorption_weight(1, 2), 4.0);
   EXPECT_DOUBLE_EQ(tally.absorption_overflow(), 2.0);
   EXPECT_DOUBLE_EQ(tally.total_absorption(), 6.0);
+}
+
+TEST(RadialTally, RadiusOneUlpBelowMaxLandsInLastBin) {
+  // nr / r_max = 1 / 0.9 is inexact: the largest radius below r_max
+  // scales to exactly nr, one bin past the end unless the index is
+  // clamped. z has the same edge.
+  RadialSpec spec;
+  spec.r_max_mm = 0.9;
+  spec.nr = 1;
+  spec.z_max_mm = 0.9;
+  spec.nz = 1;
+  const double edge = std::nextafter(0.9, 0.0);
+  ASSERT_EQ(edge * (1.0 / 0.9), 1.0);
+  RadialTally tally(spec);
+  tally.score_reflectance(edge, 1.0);
+  tally.score_transmittance(edge, 2.0);
+  tally.score_absorption(edge, edge, 4.0);
+  EXPECT_EQ(tally.reflectance_weight(0), 1.0);
+  EXPECT_EQ(tally.reflectance_overflow(), 0.0);
+  EXPECT_EQ(tally.total_reflectance(), 1.0);
+  EXPECT_EQ(tally.transmittance_weight(0), 2.0);
+  EXPECT_EQ(tally.transmittance_overflow(), 0.0);
+  EXPECT_EQ(tally.absorption_weight(0, 0), 4.0);
+  EXPECT_EQ(tally.absorption_overflow(), 0.0);
+  EXPECT_EQ(tally.total_absorption(), 4.0);
+}
+
+TEST(RadialSpec, RejectsInfiniteExtents) {
+  RadialSpec spec = small_radial();
+  spec.r_max_mm = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_radial();
+  spec.z_max_mm = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(RadialSpec, RejectsTallyTooLargeToIndex) {
+  RadialSpec spec = small_radial();
+  spec.nr = std::size_t{1} << 32;  // no wrap, but over the 2^31 cap
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.nr = std::size_t{1} << 33;
+  spec.nz = std::size_t{1} << 31;  // product wraps to 0 in 64 bits
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+/// Coordinates that probe one axis's bin rule: every bin edge, one ulp
+/// either side of each end, negatives, signed zero, infinities and NaN.
+std::vector<double> axis_probes(double lo, double hi, std::size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> v;
+  for (std::size_t k = 0; k <= n; ++k) {
+    v.push_back(lo + (hi - lo) * static_cast<double>(k) /
+                         static_cast<double>(n));
+  }
+  v.insert(v.end(), {std::nextafter(lo, -kInf), std::nextafter(lo, kInf),
+                     std::nextafter(hi, -kInf), std::nextafter(hi, kInf),
+                     -3.0, -0.0, kInf, -kInf,
+                     std::numeric_limits<double>::quiet_NaN()});
+  return v;
+}
+
+TEST(RadialTally, LaneAbsorptionMatchesScalarBinning) {
+  // Every (r, z) probe pair goes through absorption_lanes<8> and through
+  // absorption(). Lane i carries weight 2^i, so each bin's sum (and the
+  // overflow) names exactly which lanes landed in it; masked-out lanes
+  // carry weight too and must land nowhere, not even in the overflow.
+  RadialSpec spec;
+  spec.r_max_mm = 0.9;  // 4 / 0.9 and 7 / 1.7 are inexact at the max
+  spec.nr = 4;
+  spec.z_max_mm = 1.7;
+  spec.nz = 7;
+  std::vector<std::pair<double, double>> points;
+  for (double r : axis_probes(0.0, spec.r_max_mm, spec.nr)) {
+    for (double z : axis_probes(0.0, spec.z_max_mm, spec.nz)) {
+      points.emplace_back(r, z);
+    }
+  }
+  constexpr std::size_t kLanes = 8;
+  for (std::size_t base = 0; base < points.size(); base += kLanes) {
+    double r[kLanes], z[kLanes], w[kLanes];
+    std::uint64_t mask[kLanes];
+    RadialTally lanes(spec);
+    RadialTally scalar(spec);
+    const RadialTally::Scorer scalar_scorer(scalar);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const bool real = base + i < points.size();
+      r[i] = real ? points[base + i].first : 0.0;
+      z[i] = real ? points[base + i].second : 0.0;
+      w[i] = std::ldexp(1.0, static_cast<int>(i));
+      mask[i] = (base / kLanes + i) % 3 != 0 && real;
+      if (mask[i]) scalar_scorer.absorption(r[i], z[i], w[i]);
+    }
+    RadialTally::Scorer(lanes).absorption_lanes<kLanes>(r, z, w, mask);
+    for (std::size_t iz = 0; iz < spec.nz; ++iz) {
+      for (std::size_t ir = 0; ir < spec.nr; ++ir) {
+        ASSERT_EQ(lanes.absorption_weight(ir, iz),
+                  scalar.absorption_weight(ir, iz))
+            << "batch at point " << base << ", bin (" << ir << ", " << iz
+            << ")";
+      }
+    }
+    ASSERT_EQ(lanes.absorption_overflow(), scalar.absorption_overflow())
+        << "batch at point " << base;
+  }
 }
 
 TEST(RadialTally, AnnulusAreasTileTheDisc) {

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <deque>
+#include <optional>
+#include <vector>
 
 #include "dist/runtime.hpp"
 #include "dist/transport.hpp"
@@ -181,6 +184,105 @@ TEST(Runtime, LargePayloadsRoundTrip) {
   ASSERT_EQ(report.results.at(0).size(), big.size());
   EXPECT_EQ(report.results.at(0)[999],
             static_cast<std::uint8_t>(big[999] * 2));
+}
+
+/// A scripted stand-in for the server side of one worker: answers the
+/// n-th RequestWork with script[n] (Shutdown once the script runs out),
+/// AssignTask frames carrying task ids 0, 1, 2, ... The reply to the
+/// first request is held back until the worker sends its next request,
+/// as a reply that misses reply_timeout_ms and lands while the re-sent
+/// request is in flight. receive() does not wait: an empty inbox is an
+/// immediate timeout. At every RequestWork it records how many earlier
+/// requests still had no reply taken by the worker.
+class LateFirstReplyServer final : public Transport {
+ public:
+  explicit LateFirstReplyServer(std::vector<MessageType> script)
+      : script_(std::move(script)) {}
+
+  void send(const std::string& /*endpoint*/, const Message& msg) override {
+    if (msg.type == MessageType::kTaskResult) {
+      results.push_back(msg.task_id);
+      return;
+    }
+    if (msg.type != MessageType::kRequestWork) return;
+    outstanding_at_request.push_back(requests_ - replies_taken_);
+    if (held_) {
+      inbox_.push_back(*held_);
+      held_.reset();
+    }
+    Message reply;
+    reply.type = requests_ < script_.size() ? script_[requests_]
+                                            : MessageType::kShutdown;
+    reply.sender = "server";
+    if (reply.type == MessageType::kAssignTask) reply.task_id = next_task_++;
+    if (requests_ == 0) {
+      held_ = reply;
+    } else {
+      inbox_.push_back(reply);
+    }
+    ++requests_;
+  }
+  std::optional<Message> try_receive(const std::string& /*endpoint*/) override {
+    if (inbox_.empty()) return std::nullopt;
+    Message msg = inbox_.front();
+    inbox_.pop_front();
+    ++replies_taken_;
+    return msg;
+  }
+  std::optional<Message> receive(const std::string& endpoint,
+                                 std::int64_t /*timeout_ms*/) override {
+    return try_receive(endpoint);
+  }
+  void shutdown() override {}
+  bool closed() const override { return false; }
+  std::uint64_t frames_sent() const override { return 0; }
+  std::uint64_t frames_dropped() const override { return 0; }
+  std::uint64_t bytes_sent() const override { return 0; }
+
+  std::vector<std::size_t> outstanding_at_request;
+  std::vector<std::uint64_t> results;
+
+ private:
+  std::vector<MessageType> script_;
+  std::deque<Message> inbox_;
+  std::optional<Message> held_;
+  std::size_t requests_ = 0;
+  std::size_t replies_taken_ = 0;
+  std::uint64_t next_task_ = 0;
+};
+
+TEST(WorkerLoop, TakesALateReplyBeforeRequestingAgain) {
+  // Request 1's AssignTask arrives late; request 2 (the timeout re-send)
+  // is answered NoWork. The worker runs task 0, drops the stale NoWork
+  // and from then on sends each request with nothing else outstanding.
+  LateFirstReplyServer server({MessageType::kAssignTask, MessageType::kNoWork,
+                               MessageType::kAssignTask,
+                               MessageType::kAssignTask});
+  WorkerLoopOptions options;
+  options.no_work_backoff_ms = 0;
+  const WorkerLoopOutcome outcome = run_worker_loop(server, doubler, options);
+
+  EXPECT_TRUE(outcome.saw_shutdown);
+  EXPECT_EQ(outcome.tasks_executed, 3u);
+  EXPECT_EQ(server.results, (std::vector<std::uint64_t>{0, 1, 2}));
+  // Only the timeout re-send overlaps an unanswered request.
+  EXPECT_EQ(server.outstanding_at_request,
+            (std::vector<std::size_t>{0, 1, 0, 0, 0}));
+}
+
+TEST(WorkerLoop, TakesAQueuedAssignmentWithoutAskingAgain) {
+  // Both leases from the timeout re-send are real assignments: the worker
+  // runs the queued second one straight away instead of requesting a
+  // third while it sits in the inbox.
+  LateFirstReplyServer server(
+      {MessageType::kAssignTask, MessageType::kAssignTask});
+  WorkerLoopOptions options;
+  const WorkerLoopOutcome outcome = run_worker_loop(server, doubler, options);
+
+  EXPECT_TRUE(outcome.saw_shutdown);
+  EXPECT_EQ(server.results, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(server.outstanding_at_request,
+            (std::vector<std::size_t>{0, 1, 0}));
 }
 
 }  // namespace
