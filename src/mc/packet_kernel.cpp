@@ -205,11 +205,12 @@ __attribute__((noinline)) void lanes_hg_cosine(
 /// A(r,z) bins and the fluence grid. The lane scorers bin all W lanes
 /// in one vectorized loop (mc/binning.hpp) and accumulate in lane order,
 /// so each bin sees the same deposits in the same order as one scalar
-/// call per lane would give it. Out of line so the transport loop's code
-/// does not depend on which tallies exist: that loop's speed shifts by
+/// call per lane would give it. Inlined, but called under [[unlikely]]
+/// so gcc places it after the loop: the transport loop's speed shifts by
 /// several percent with its code layout alone (measured on no-tally
-/// runs), which would make every scoring change a bare-loop change too.
-__attribute__((noinline)) void score_grids(
+/// runs), and a noinline call instead cost grid runs most of the gain
+/// (radial-only time over bare 1.31 vs 1.15 inlined, same photons).
+inline void score_grids(
     const PacketState& p, const double* dw, const std::uint64_t* interact,
     const RadialTally::Scorer* scorer, VoxelGrid3D* fluence) noexcept {
   if (scorer) {
@@ -461,7 +462,7 @@ void run_packet(const Kernel& kernel, std::uint64_t photon_count,
       p.scat[i] += static_cast<std::uint32_t>(interact[i]);
     }
     // --- 5. grid tallies --------------------------------------------------
-    if (scorer || fluence) {
+    if (scorer || fluence) [[unlikely]] {
       score_grids(p, dw, interact, scorer ? &*scorer : nullptr, fluence);
     }
 
