@@ -34,6 +34,10 @@
 //                                     compile-gated kernel counters)
 //   --trace PATH                      Chrome trace-event spans (Perfetto)
 //
+// With packet mode, the header names the packet-loop build this CPU runs
+// (avx2 | avx512, see mc/packet_isa.hpp) and each packet JSON entry
+// carries it as "isa"; --check still matches entries on (name, mode).
+//
 // Per mode, a "scoring overhead" line follows the table: two_layer and
 // two_layer_grid run time over two_layer_bare's (best-of-reps). Scoring
 // never draws randomness, so all three presets trace the same photons
@@ -52,6 +56,7 @@
 #include "exec/parallel.hpp"
 #include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
+#include "mc/packet_isa.hpp"
 #include "mc/presets.hpp"
 #include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
@@ -142,9 +147,16 @@ int main(int argc, char** argv) {
   bench::Report report;
   std::printf("bench_kernel: %llu photons/rep, %d reps (best-of shown)\n",
               static_cast<unsigned long long>(options.photons), options.reps);
+  const std::string packet_isa = mc::to_string(mc::host_packet_isa());
+  if (std::find(modes.begin(), modes.end(), mc::KernelMode::kPacket) !=
+      modes.end()) {
+    std::printf("packet loop ISA: %s\n", packet_isa.c_str());
+  }
 
   for (const mc::KernelMode mode : modes) {
     const std::string mode_name = mc::to_string(mode);
+    const std::string isa =
+        mode == mc::KernelMode::kPacket ? packet_isa : std::string();
     const struct {
       const char* name;
       mc::Kernel kernel;
@@ -159,6 +171,7 @@ int main(int argc, char** argv) {
       bench::PresetResult r =
           bench::measure_preset(preset.name, preset.kernel, options);
       r.mode = mode_name;
+      r.isa = isa;
       std::printf("  %-18s %-7s %10.0f photons/sec (median %10.0f)\n",
                   r.name.c_str(), r.mode.c_str(), r.best_pps, r.median_pps);
       report.presets.push_back(std::move(r));
@@ -182,6 +195,7 @@ int main(int argc, char** argv) {
           measure_sharded(name, presets[0].kernel,
                           static_cast<std::size_t>(threads), options);
       r.mode = mode_name;
+      r.isa = isa;
       std::printf("  %-18s %-7s %10.0f photons/sec (median %10.0f)\n",
                   r.name.c_str(), r.mode.c_str(), r.best_pps, r.median_pps);
       report.presets.push_back(std::move(r));

@@ -58,6 +58,7 @@ void write_json(const Report& report, const std::string& path) {
     out << "    {\n";
     out << "      \"name\": \"" << p.name << "\",\n";
     out << "      \"mode\": \"" << p.mode << "\",\n";
+    if (!p.isa.empty()) out << "      \"isa\": \"" << p.isa << "\",\n";
     out << "      \"photons\": " << p.photons << ",\n";
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.1f", p.best_pps);

@@ -29,6 +29,9 @@ namespace phodis::bench {
 struct PresetResult {
   std::string name;
   std::string mode = "scalar";  ///< kernel mode ("scalar" | "packet")
+  /// Packet-loop build that ran ("avx2" | "avx512"); empty for scalar.
+  /// Informational: the baseline check keys on (name, mode) only.
+  std::string isa;
   std::uint64_t photons = 0;  ///< photons per rep (pinned)
   double best_pps = 0.0;      ///< max photons/sec over reps (thresholded)
   double median_pps = 0.0;

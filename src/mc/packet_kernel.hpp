@@ -13,6 +13,9 @@
 //    (2^192 apart via Xoshiro256pp::long_jump), so a photon's trajectory
 //    is a function of its stream position alone, independent of which
 //    lane it lands in or what its packet-mates do.
+//  * Identical on every ISA: the loop is built for AVX2 and for AVX-512
+//    and picked at run time (mc/packet_isa.hpp); both builds give the
+//    same tally bytes.
 //  * Supported configuration subset is enforced by KernelConfig::validate:
 //    probabilistic boundaries, no path grid, every layer µt > 0.
 #pragma once
@@ -31,6 +34,8 @@ namespace phodis::mc {
 /// accumulating into `tally` (which must have the shape of
 /// kernel.make_tally()). Advances `rng` by exactly kPacketWidth
 /// long_jump()s — the per-lane sub-streams — regardless of photon count.
+/// Runs the AVX-512 build when the CPU has AVX-512 F/DQ/VL, the AVX2
+/// build otherwise (mc/packet_isa.hpp); the tally is the same either way.
 void run_packet(const Kernel& kernel, std::uint64_t photon_count,
                 util::Xoshiro256pp& rng, SimulationTally& tally);
 

@@ -6,7 +6,8 @@
 // afford polynomial approximations evaluated lane-parallel: plain loops
 // over fixed-width arrays that gcc auto-vectorizes at -O3 with the
 // relaxed-FP flags scoped to vmath.cpp / packet_kernel.cpp (see
-// CMakeLists.txt). No intrinsics: the data layout does the work.
+// CMakeLists.txt), once for AVX2 and once for AVX-512. No intrinsics: the
+// data layout does the work.
 //
 // Accuracy contract (verified by tests/test_packet_kernel.cpp):
 //  * vlog:        fdlibm-style argument reduction + degree-7 series in
@@ -23,10 +24,10 @@
 //
 // Determinism contract: every polynomial is fixed-order Horner and the
 // TUs are built with -ffp-contract=off, so results are identical IEEE
-// doubles whether the loop was vectorized, unrolled, or run under a
-// sanitizer at -O2 — the packet golden hashes hold across the whole
-// build matrix, they are just not the glibc-rounded values the scalar
-// mode pins.
+// doubles whether the loop was vectorized (in ymm or zmm registers),
+// unrolled, or run under a sanitizer — the packet golden hashes hold
+// across the whole build matrix, they are just not the glibc-rounded
+// values the scalar mode pins.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +38,11 @@ namespace phodis::mc {
 /// AVX2 registers. Part of the packet-mode golden contract (changing it
 /// changes lane sub-stream layout and refill order).
 inline constexpr std::size_t kPacketWidth = 8;
+
+// One copy per packet build (see mc/packet_isa.hpp): the namespace is the
+// ISA the copy was compiled for, and each ISA's run_packet calls only its
+// own. The two copies return identical doubles.
+namespace avx2 {
 
 /// out[i] = log(x[i]) for x[i] in (0, 1] (no subnormal/zero/negative
 /// handling: the caller feeds uniform_open0() draws, which are >= 2^-53).
@@ -49,5 +55,13 @@ void vlog(const double* x, double* out, std::size_t n) noexcept;
 /// |theta| <= pi/4 by construction.
 void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
                  std::size_t n) noexcept;
+
+}  // namespace avx2
+
+namespace avx512 {
+void vlog(const double* x, double* out, std::size_t n) noexcept;
+void vsincos_2pi(const double* u, double* sin_out, double* cos_out,
+                 std::size_t n) noexcept;
+}  // namespace avx512
 
 }  // namespace phodis::mc

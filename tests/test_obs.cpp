@@ -14,10 +14,15 @@
 #include <utility>
 #include <vector>
 
+#include "mc/kernel.hpp"
+#include "mc/packet_isa.hpp"
+#include "mc/presets.hpp"
 #include "obs/kernel_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
+namespace mc = phodis::mc;
 namespace obs = phodis::obs;
 
 namespace {
@@ -521,6 +526,31 @@ TEST(ObsKernelCounters, AppendMatchesCompileToggle) {
   } else {
     EXPECT_TRUE(snap.samples.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Packet-loop ISA (not compile-gated: recorded once per process)
+// ---------------------------------------------------------------------------
+
+TEST(ObsPacketIsa, FirstPacketRunRecordsTheDispatchedIsa) {
+  mc::KernelConfig config;
+  config.medium = mc::two_layer_model();
+  config.mode = mc::KernelMode::kPacket;
+  const mc::Kernel kernel(config);
+  mc::SimulationTally tally = kernel.make_tally();
+  phodis::util::Xoshiro256pp rng(1);
+  kernel.run(16, rng, tally);
+  kernel.run(16, rng, tally);  // a second run records nothing new
+
+  const std::string dispatched = mc::to_string(mc::host_packet_isa());
+  std::vector<obs::MetricSample> isa_samples;
+  for (const obs::MetricSample& s : obs::registry().snapshot().samples) {
+    if (s.name == "mc_packet_isa") isa_samples.push_back(s);
+  }
+  ASSERT_EQ(isa_samples.size(), 1u);
+  EXPECT_EQ(isa_samples[0].kind, obs::MetricKind::kGauge);
+  EXPECT_EQ(isa_samples[0].labels, (obs::Labels{{"isa", dispatched}}));
+  EXPECT_EQ(isa_samples[0].gauge, 1.0);
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 // Packet-mode (KernelMode::kPacket) test suite:
 //
 //  * vmath accuracy: the documented ulp/absolute error bounds of vlog and
-//    vsincos_2pi, measured against libm / long-double references;
+//    vsincos_2pi, measured against libm / long-double references, for
+//    each packet ISA's copy;
 //  * packet golden hashes: packet mode pins its OWN tally bytes (it is
 //    deliberately not bitwise-equal to scalar), reproducible serially and
 //    through the shard plan at every thread count;
+//  * ISA dispatch: the AVX2 and AVX-512 builds of the packet loop give
+//    byte-identical tallies on every golden configuration, serially and
+//    through the shard plan, and the dispatch rule is a pure function of
+//    the CPU feature bits. On a CPU without AVX-512 the AVX-512 cases
+//    skip, saying so;
 //  * lane-compaction edge cases: streams smaller than the packet width,
 //    heavy-absorption lane churn, roulette in packet mode;
 //  * statistical equivalence: packet and scalar runs of the same
@@ -14,12 +20,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/spec.hpp"
 #include "exec/parallel.hpp"
 #include "exec/threadpool.hpp"
 #include "mc/kernel.hpp"
+#include "mc/packet_isa.hpp"
 #include "mc/packet_kernel.hpp"
 #include "mc/presets.hpp"
 #include "mc/vmath.hpp"
@@ -29,6 +38,45 @@
 namespace {
 
 using namespace phodis;
+
+// --- per-ISA entry points --------------------------------------------------
+
+struct IsaBuild {
+  mc::PacketIsa isa;
+  void (*vlog)(const double*, double*, std::size_t) noexcept;
+  void (*vsincos_2pi)(const double*, double*, double*, std::size_t) noexcept;
+  void (*run_packet)(const mc::Kernel&, std::uint64_t, util::Xoshiro256pp&,
+                     mc::SimulationTally&);
+};
+
+constexpr IsaBuild kIsaBuilds[] = {
+    {mc::PacketIsa::kAvx2, &mc::avx2::vlog, &mc::avx2::vsincos_2pi,
+     &mc::avx2::run_packet},
+    {mc::PacketIsa::kAvx512, &mc::avx512::vlog, &mc::avx512::vsincos_2pi,
+     &mc::avx512::run_packet},
+};
+
+std::string isa_name(const testing::TestParamInfo<IsaBuild>& info) {
+  return mc::to_string(info.param.isa);
+}
+
+/// One instance per packet ISA. The AVX2 build is the baseline every
+/// supported CPU runs; the AVX-512 instance skips, saying why, on a CPU
+/// without it.
+class PacketIsaBuild : public testing::TestWithParam<IsaBuild> {
+ protected:
+  void SetUp() override {
+    if (GetParam().isa == mc::PacketIsa::kAvx512 &&
+        mc::host_packet_isa() != mc::PacketIsa::kAvx512) {
+      GTEST_SKIP() << "this CPU lacks AVX-512 F/DQ/VL, so the AVX-512 "
+                      "packet build cannot run here; only the AVX2 build "
+                      "was checked";
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(EachIsa, PacketIsaBuild,
+                         testing::ValuesIn(kIsaBuilds), isa_name);
 
 // --- vmath accuracy ---------------------------------------------------------
 
@@ -40,7 +88,7 @@ double ulp_distance(double reference, double value) {
   return std::abs(reference - value) / ulp;
 }
 
-TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
+TEST_P(PacketIsaBuild, VlogMatchesStdLogWithinFourUlp) {
   util::Xoshiro256pp rng(7);
   double max_ulp = 0.0;
   constexpr std::size_t kBatch = 64;
@@ -55,7 +103,7 @@ TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
       x[2] = 0.5;
       x[3] = std::nextafter(1.0, 0.0);
     }
-    mc::vlog(x, out, kBatch);
+    GetParam().vlog(x, out, kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
       max_ulp = std::max(max_ulp, ulp_distance(std::log(x[i]), out[i]));
     }
@@ -63,7 +111,7 @@ TEST(Vmath, VlogMatchesStdLogWithinFourUlp) {
   EXPECT_LE(max_ulp, 4.0);
 }
 
-TEST(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
+TEST_P(PacketIsaBuild, SincosMatchesLongDoubleWithinTwoPowMinus50) {
   util::Xoshiro256pp rng(11);
   const long double two_pi_l = 2.0L * 3.14159265358979323846264338327950288L;
   double max_err = 0.0;
@@ -84,7 +132,7 @@ TEST(Vmath, SincosMatchesLongDoubleWithinTwoPowMinus50) {
       u[6] = std::nextafter(0.25, 0.0);
       u[7] = std::nextafter(0.25, 1.0);
     }
-    mc::vsincos_2pi(u, s, c, kBatch);
+    GetParam().vsincos_2pi(u, s, c, kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
       const long double a = two_pi_l * static_cast<long double>(u[i]);
       max_err = std::max(
@@ -139,43 +187,59 @@ mc::KernelConfig two_layer_packet() {
 // Packet mode's own bitwise pin: the SoA loop, the vmath polynomials, the
 // fixed three-draw schedule and the long_jump lane sub-streams together
 // make these reproducible on any machine, any thread count, any build
-// type in the matrix (the scoped -O3/-mavx2/-ffp-contract=off flags on
-// the packet TUs are part of this contract). A hash change here means the
-// packet physics stream changed and must be an intentional re-record.
+// type in the matrix and either packet ISA (the scoped
+// -O3/-ffp-contract=off flags on the packet TUs are part of this
+// contract). A hash change here means the packet physics stream changed
+// and must be an intentional re-record.
 
-TEST(PacketGolden, TwoLayer) {
-  EXPECT_EQ(run_hash(two_layer_packet(), 10'000), 0x780496D06EEC2F2FULL);
-}
-
-TEST(PacketGolden, TwoLayerRadialAndDetector) {
-  mc::KernelConfig config = two_layer_packet();
-  config.tally.enable_radial = true;
-  config.detector = mc::DetectorSpec{};
-  EXPECT_EQ(run_hash(config, 5'000), 0x8293DD6AB5EBB754ULL);
-}
-
-TEST(PacketGolden, TwoLayerFluenceGrid) {
-  mc::KernelConfig config = two_layer_packet();
-  config.tally.enable_fluence_grid = true;
-  config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
-  EXPECT_EQ(run_hash(config, 5'000), 0x75AA1374DE50ED77ULL);
-}
-
-TEST(PacketGolden, HeadModel) {
+struct PacketGoldenCase {
+  const char* name;
   mc::KernelConfig config;
-  config.medium = mc::adult_head_model();
-  config.mode = mc::KernelMode::kPacket;
-  EXPECT_EQ(run_hash(config, 2'000), 0x0848D6DF2D28B50FULL);
+  std::uint64_t photons;
+  std::uint64_t hash;  ///< fnv1a64 of the tally bytes at seed 42
+};
+
+std::vector<PacketGoldenCase> packet_golden_cases() {
+  std::vector<PacketGoldenCase> cases;
+  cases.push_back({"two_layer", two_layer_packet(), 10'000,
+                   0x780496D06EEC2F2FULL});
+  {
+    mc::KernelConfig config = two_layer_packet();
+    config.tally.enable_radial = true;
+    config.detector = mc::DetectorSpec{};
+    cases.push_back({"two_layer_radial_and_detector", config, 5'000,
+                     0x8293DD6AB5EBB754ULL});
+  }
+  {
+    mc::KernelConfig config = two_layer_packet();
+    config.tally.enable_fluence_grid = true;
+    config.tally.fluence_spec = mc::GridSpec::cube(40, 20.0, 40.0);
+    cases.push_back({"two_layer_fluence_grid", config, 5'000,
+                     0x75AA1374DE50ED77ULL});
+  }
+  {
+    mc::KernelConfig config;
+    config.medium = mc::adult_head_model();
+    config.mode = mc::KernelMode::kPacket;
+    cases.push_back({"head_model", config, 2'000, 0x0848D6DF2D28B50FULL});
+  }
+  {
+    mc::KernelConfig config;
+    config.medium = mc::homogeneous_white_matter();
+    config.mode = mc::KernelMode::kPacket;
+    config.source.type = mc::SourceType::kGaussian;
+    config.source.radius_mm = 1.0;
+    config.source.half_angle_deg = 15.0;
+    cases.push_back({"white_matter_diverging_gaussian_source", config, 5'000,
+                     0x35B4B19AF2EC90EBULL});
+  }
+  return cases;
 }
 
-TEST(PacketGolden, WhiteMatterDivergingGaussianSource) {
-  mc::KernelConfig config;
-  config.medium = mc::homogeneous_white_matter();
-  config.mode = mc::KernelMode::kPacket;
-  config.source.type = mc::SourceType::kGaussian;
-  config.source.radius_mm = 1.0;
-  config.source.half_angle_deg = 15.0;
-  EXPECT_EQ(run_hash(config, 5'000), 0x35B4B19AF2EC90EBULL);
+TEST(PacketGolden, EveryConfigurationMatchesItsRecordedHash) {
+  for (const PacketGoldenCase& c : packet_golden_cases()) {
+    EXPECT_EQ(run_hash(c.config, c.photons), c.hash) << c.name;
+  }
 }
 
 TEST(PacketGolden, RunIsSelfReproducible) {
@@ -197,6 +261,72 @@ TEST(PacketGolden, ShardPlanMatchesRecordedHashAtEveryThreadCount) {
     const exec::ParallelKernelRunner runner(kernel, &pool, 4096);
     EXPECT_EQ(runner.run(10'000, 42, 0).to_bytes(), serial_bytes)
         << "thread count " << threads;
+  }
+}
+
+// --- ISA dispatch -----------------------------------------------------------
+
+TEST(PacketIsa, SelectionNeedsAllThreeAvx512FeatureBits) {
+  for (const bool f : {false, true}) {
+    for (const bool dq : {false, true}) {
+      for (const bool vl : {false, true}) {
+        EXPECT_EQ(mc::select_packet_isa(f, dq, vl),
+                  f && dq && vl ? mc::PacketIsa::kAvx512
+                                : mc::PacketIsa::kAvx2)
+            << "avx512f=" << f << " avx512dq=" << dq << " avx512vl=" << vl;
+      }
+    }
+  }
+  EXPECT_EQ(mc::to_string(mc::PacketIsa::kAvx2), "avx2");
+  EXPECT_EQ(mc::to_string(mc::PacketIsa::kAvx512), "avx512");
+}
+
+TEST(PacketIsa, ReportsTheDispatchedBuild) {
+  // CI runs this case alone before the suite, so the log shows whether
+  // the AVX-512 cases below ran or skipped.
+  const mc::PacketIsa isa = mc::host_packet_isa();
+  std::printf("dispatched packet ISA: %s\n", mc::to_string(isa).c_str());
+  __builtin_cpu_init();
+  EXPECT_EQ(isa,
+            mc::select_packet_isa(__builtin_cpu_supports("avx512f") != 0,
+                                  __builtin_cpu_supports("avx512dq") != 0,
+                                  __builtin_cpu_supports("avx512vl") != 0));
+}
+
+TEST_P(PacketIsaBuild, EntryPointReproducesEveryPacketGolden) {
+  // The dispatched loop is pinned to the same hashes above, so equal
+  // hashes here mean byte-identical tallies across the builds.
+  for (const PacketGoldenCase& c : packet_golden_cases()) {
+    const mc::Kernel kernel(c.config);
+    mc::SimulationTally tally = kernel.make_tally();
+    util::Xoshiro256pp rng(42);
+    GetParam().run_packet(kernel, c.photons, rng, tally);
+    EXPECT_EQ(fnv1a64(tally.to_bytes()), c.hash) << c.name;
+  }
+}
+
+TEST_P(PacketIsaBuild, ShardPlanMatchesTheRunnerAtOneAndThreeThreads) {
+  // exec::ParallelKernelRunner's shard plan (task 0 of seed 42), every
+  // shard run through this build's entry point and merged in order.
+  for (const PacketGoldenCase& c : packet_golden_cases()) {
+    const mc::Kernel kernel(c.config);
+    const std::vector<std::uint64_t> shards =
+        exec::shard_plan(c.photons, exec::kDefaultShardPhotons);
+    std::vector<util::Xoshiro256pp> streams =
+        exec::shard_streams(42, 0, shards.size());
+    mc::SimulationTally merged = kernel.make_tally();
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      mc::SimulationTally tally = kernel.make_tally();
+      GetParam().run_packet(kernel, shards[s], streams[s], tally);
+      merged.merge(tally);
+    }
+    const std::vector<std::uint8_t> bytes = merged.to_bytes();
+    for (const std::size_t threads : {1u, 3u}) {
+      exec::ThreadPool pool(threads);
+      const exec::ParallelKernelRunner runner(kernel, &pool);
+      EXPECT_EQ(runner.run(c.photons, 42, 0).to_bytes(), bytes)
+          << c.name << ", " << threads << " thread(s)";
+    }
   }
 }
 
